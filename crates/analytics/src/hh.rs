@@ -24,7 +24,7 @@
 
 use ldp_core::fo::{CohortLocalHashing, FoAggregator};
 use ldp_core::{Epsilon, Error, Result};
-use ldp_workloads::parallel::accumulate_sharded;
+use ldp_workloads::parallel::accumulate_mech_sharded;
 use rand::Rng;
 
 /// A discovered heavy hitter: the value and its estimated count,
@@ -172,7 +172,7 @@ impl PrefixExtendingMethod {
             .iter()
             .map(|&v| v >> (self.bits - prefix_len))
             .collect();
-        let agg = accumulate_sharded(&oracle, &prefixes, shard_seed, self.shards);
+        let agg = accumulate_mech_sharded(&&oracle, &prefixes, shard_seed, self.shards);
         agg.estimate_items(candidates)
     }
 

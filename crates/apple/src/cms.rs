@@ -32,6 +32,7 @@
 //! `ldp_workloads::parallel` drive CMS collection across shards.
 
 use ldp_core::fo::batch::GeometricSkip;
+use ldp_core::fo::counters::{self, CounterState};
 use ldp_core::fo::{FoAggregator, FrequencyOracle};
 use ldp_core::Epsilon;
 use ldp_sketch::hash::PairwiseHash;
@@ -275,58 +276,22 @@ impl CmsServer {
     /// had been accumulated here. Exact (integer addition), so sharded
     /// collection is bit-identical to sequential.
     ///
-    /// # Panics
-    /// Panics if the two servers were built from different protocols.
-    pub fn merge(&mut self, other: Self) {
-        assert!(
-            self.protocol == other.protocol,
-            "merge: protocol mismatch (shape, budget or hash family)"
-        );
-        for (a, b) in self.ones.iter_mut().zip(&other.ones) {
-            *a += b;
-        }
-        for (a, b) in self.row_n.iter_mut().zip(&other.row_n) {
-            *a += b;
-        }
-        self.n += other.n;
+    /// # Errors
+    /// As [`counters::merge`]: a protocol mismatch (shape, budget or hash
+    /// family) or a counter overflow; `self` is unchanged on error.
+    pub fn merge(&mut self, other: Self) -> ldp_core::Result<()> {
+        counters::merge(self, &other)
     }
 
     /// Subtracts another server's counters from this one — the exact
     /// inverse of [`merge`](Self::merge) for retiring a window delta
-    /// from a running total. All-or-nothing: every underflow check runs
-    /// before the first counter moves.
+    /// from a running total.
     ///
     /// # Errors
-    /// [`ldp_core::LdpError::StateMismatch`] if the protocols differ or
-    /// `other` is not a sub-aggregate of this state.
+    /// As [`counters::subtract`]: a protocol mismatch, or `other` is not
+    /// a sub-aggregate of this state; `self` is unchanged on error.
     pub fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        if self.protocol != other.protocol {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: CMS protocol mismatch".into(),
-            ));
-        }
-        if !self.subtract_fits(other) {
-            // (The protocol check above already passed; this is the
-            // underflow half of the fit.)
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: CMS subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        ldp_core::fo::subtract_counts(&mut self.ones, &other.ones);
-        ldp_core::fo::subtract_counts(&mut self.row_n, &other.row_n);
-        self.n -= other.n;
-        Ok(())
-    }
-
-    /// True iff [`try_subtract`](Self::try_subtract) would commit (same
-    /// protocol, no counter underflow) — the pre-check SFP's
-    /// multi-sketch subtract runs over every fragment before touching
-    /// any, keeping its own subtract all-or-nothing.
-    pub(crate) fn subtract_fits(&self, other: &Self) -> bool {
-        self.protocol == other.protocol
-            && self.n >= other.n
-            && ldp_core::fo::counts_fit(&self.ones, &other.ones)
-            && ldp_core::fo::counts_fit(&self.row_n, &other.row_n)
+        counters::subtract(self, other)
     }
 
     /// Number of reports accumulated.
@@ -432,38 +397,18 @@ pub(crate) fn hashes_fingerprint(hashes: &[PairwiseHash]) -> u64 {
     })
 }
 
-impl ldp_core::snapshot::StateSnapshot for CmsServer {
-    fn state_tag(&self) -> u8 {
-        ldp_core::snapshot::state_tag::APPLE_CMS_SKETCH
-    }
+impl CounterState for CmsServer {
+    const STATE_TAG: u8 = ldp_core::snapshot::state_tag::APPLE_CMS_SKETCH;
+    const NAME: &'static str = "CMS";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         ldp_core::wire::put_uvarint(out, self.protocol.k as u64);
         ldp_core::wire::put_uvarint(out, self.protocol.m as u64);
         ldp_core::wire::put_f64_le(out, self.protocol.epsilon.value());
         ldp_core::wire::put_u64_le(out, hashes_fingerprint(&self.protocol.hashes));
-        ldp_core::snapshot::put_count(out, self.n);
-        ldp_core::snapshot::put_counts(out, &self.ones);
-        ldp_core::snapshot::put_counts(out, &self.row_n);
     }
 
-    fn restore_payload(&mut self, r: &mut ldp_core::wire::WireReader<'_>) -> ldp_core::Result<()> {
-        ldp_core::snapshot::check_u64(r, self.protocol.k as u64, "CMS row count")?;
-        ldp_core::snapshot::check_u64(r, self.protocol.m as u64, "CMS width")?;
-        ldp_core::snapshot::check_f64(r, self.protocol.epsilon.value(), "CMS epsilon")?;
-        ldp_core::snapshot::check_u64_le(
-            r,
-            hashes_fingerprint(&self.protocol.hashes),
-            "CMS hash family",
-        )?;
-        let n = ldp_core::snapshot::get_count(r)?;
-        let ones = ldp_core::snapshot::get_counts(r, self.ones.len(), "CMS cell counts")?;
-        let row_n = ldp_core::snapshot::get_counts(r, self.row_n.len(), "CMS row totals")?;
-        self.n = n;
-        self.ones = ones;
-        self.row_n = row_n;
-        Ok(())
-    }
+    ldp_core::counter_fields!(Count n, Plane ones, Plane row_n);
 }
 
 /// [`CmsProtocol`] bound to an enumerable item domain `0..d`, exposing the
@@ -524,20 +469,17 @@ impl CmsAggregator {
     }
 }
 
-impl ldp_core::snapshot::StateSnapshot for CmsAggregator {
-    fn state_tag(&self) -> u8 {
-        ldp_core::snapshot::state_tag::APPLE_CMS
-    }
+/// The oracle wrapper's state is the server's, behind the bound domain.
+impl CounterState for CmsAggregator {
+    const STATE_TAG: u8 = ldp_core::snapshot::state_tag::APPLE_CMS;
+    const NAME: &'static str = "CMS oracle";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         ldp_core::wire::put_uvarint(out, self.domain);
-        self.server.snapshot_payload(out);
+        self.server.config_bytes(out);
     }
 
-    fn restore_payload(&mut self, r: &mut ldp_core::wire::WireReader<'_>) -> ldp_core::Result<()> {
-        ldp_core::snapshot::check_u64(r, self.domain, "CMS oracle domain")?;
-        self.server.restore_payload(r)
-    }
+    ldp_core::counter_fields!(Count server.n, Plane server.ones, Plane server.row_n);
 }
 
 impl FoAggregator for CmsAggregator {
@@ -572,18 +514,12 @@ impl FoAggregator for CmsAggregator {
         self.server.estimate_items(items)
     }
 
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.domain, other.domain, "merge: domain mismatch");
-        self.server.merge(other.server);
+    fn merge(&mut self, other: Self) -> ldp_core::Result<()> {
+        counters::merge(self, &other)
     }
 
     fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        if self.domain != other.domain {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: CMS oracle domain mismatch".into(),
-            ));
-        }
-        self.server.try_subtract(&other.server)
+        counters::subtract(self, other)
     }
 }
 
@@ -611,11 +547,11 @@ impl FrequencyOracle for CmsOracle {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(CmsReport),
+        F: FnMut(&CmsReport),
     {
         for &v in values {
             assert!(v < self.domain, "value {v} outside domain");
-            sink(self.protocol.randomize(v, rng));
+            sink(&self.protocol.randomize(v, rng));
         }
     }
 
@@ -666,6 +602,7 @@ impl FrequencyOracle for CmsOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::snapshot::snapshot_vec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -833,7 +770,7 @@ mod tests {
             seq.accumulate_fused(v, &mut rng2);
         }
 
-        a.merge(b);
+        a.merge(b).unwrap();
         assert_eq!(a.ones, seq.ones);
         assert_eq!(a.row_n, seq.row_n);
         assert_eq!(a.reports(), seq.reports());
@@ -851,12 +788,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "protocol mismatch")]
-    fn merge_protocol_mismatch_panics() {
-        let a = CmsProtocol::new(2, 16, eps(1.0), 0).new_server();
+    fn merge_protocol_mismatch_is_refused() {
+        let protocol = CmsProtocol::new(2, 16, eps(1.0), 0);
+        let mut a = protocol.new_server();
+        a.accumulate_fused(3, &mut StdRng::seed_from_u64(1));
+        let before = a.clone();
         let b = CmsProtocol::new(2, 16, eps(1.0), 1).new_server();
-        let mut a = a;
-        a.merge(b);
+        assert!(matches!(
+            a.merge(b),
+            Err(ldp_core::LdpError::StateMismatch(_))
+        ));
+        assert_eq!(snapshot_vec(&a), snapshot_vec(&before), "state unchanged");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   and at query time invert each row with one FWHT, then apply the same
 //!   collision debiasing as CMS.
 
+use ldp_core::fo::counters::{self, CounterState};
 use ldp_core::fo::{FoAggregator, FrequencyOracle};
 use ldp_core::Epsilon;
 use ldp_sketch::hadamard::{fwht, hadamard_entry};
@@ -165,17 +166,11 @@ impl HcmsServer {
     /// Merges another server's sign sums into this one. Exact (integer
     /// addition), so sharded collection is bit-identical to sequential.
     ///
-    /// # Panics
-    /// Panics if the two servers were built from different protocols.
-    pub fn merge(&mut self, other: Self) {
-        assert!(
-            self.protocol == other.protocol,
-            "merge: protocol mismatch (shape, budget or hash family)"
-        );
-        for (a, b) in self.spectrum.iter_mut().zip(&other.spectrum) {
-            *a += b;
-        }
-        self.n += other.n;
+    /// # Errors
+    /// As [`counters::merge`]: a protocol mismatch (shape, budget or hash
+    /// family) or a counter overflow; `self` is unchanged on error.
+    pub fn merge(&mut self, other: Self) -> ldp_core::Result<()> {
+        counters::merge(self, &other)
     }
 
     /// Subtracts another server's sign sums from this one — the exact
@@ -184,25 +179,11 @@ impl HcmsServer {
     /// bit-identical to never having merged `other`).
     ///
     /// # Errors
-    /// [`ldp_core::LdpError::StateMismatch`] if the protocols differ or
-    /// `other` holds more reports than this state (sign sums are signed,
-    /// so the report count is the only underflow sentinel).
+    /// As [`counters::subtract`]: a protocol mismatch, or `other` holds
+    /// more reports than this state (sign sums are signed, so the report
+    /// count is the underflow sentinel); `self` is unchanged on error.
     pub fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        if self.protocol != other.protocol {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: HCMS protocol mismatch".into(),
-            ));
-        }
-        if self.n < other.n {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: HCMS subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        for (a, b) in self.spectrum.iter_mut().zip(&other.spectrum) {
-            *a -= b;
-        }
-        self.n -= other.n;
-        Ok(())
+        counters::subtract(self, other)
     }
 
     /// Number of reports accumulated.
@@ -325,36 +306,18 @@ impl HcmsDecoded<'_> {
     }
 }
 
-impl ldp_core::snapshot::StateSnapshot for HcmsServer {
-    fn state_tag(&self) -> u8 {
-        ldp_core::snapshot::state_tag::APPLE_HCMS_SKETCH
-    }
+impl CounterState for HcmsServer {
+    const STATE_TAG: u8 = ldp_core::snapshot::state_tag::APPLE_HCMS_SKETCH;
+    const NAME: &'static str = "HCMS";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         ldp_core::wire::put_uvarint(out, self.protocol.k as u64);
         ldp_core::wire::put_uvarint(out, self.protocol.m as u64);
         ldp_core::wire::put_f64_le(out, self.protocol.epsilon.value());
         ldp_core::wire::put_u64_le(out, crate::cms::hashes_fingerprint(&self.protocol.hashes));
-        ldp_core::snapshot::put_count(out, self.n);
-        ldp_core::snapshot::put_signed_counts(out, &self.spectrum);
     }
 
-    fn restore_payload(&mut self, r: &mut ldp_core::wire::WireReader<'_>) -> ldp_core::Result<()> {
-        ldp_core::snapshot::check_u64(r, self.protocol.k as u64, "HCMS row count")?;
-        ldp_core::snapshot::check_u64(r, self.protocol.m as u64, "HCMS width")?;
-        ldp_core::snapshot::check_f64(r, self.protocol.epsilon.value(), "HCMS epsilon")?;
-        ldp_core::snapshot::check_u64_le(
-            r,
-            crate::cms::hashes_fingerprint(&self.protocol.hashes),
-            "HCMS hash family",
-        )?;
-        let n = ldp_core::snapshot::get_count(r)?;
-        let spectrum =
-            ldp_core::snapshot::get_signed_counts(r, self.spectrum.len(), "HCMS spectrum")?;
-        self.n = n;
-        self.spectrum = spectrum;
-        Ok(())
-    }
+    ldp_core::counter_fields!(Count n, Signed spectrum);
 }
 
 /// [`HcmsProtocol`] bound to an enumerable item domain `0..d`, exposing
@@ -406,20 +369,17 @@ impl HcmsAggregator {
     }
 }
 
-impl ldp_core::snapshot::StateSnapshot for HcmsAggregator {
-    fn state_tag(&self) -> u8 {
-        ldp_core::snapshot::state_tag::APPLE_HCMS
-    }
+/// The oracle wrapper's state is the server's, behind the bound domain.
+impl CounterState for HcmsAggregator {
+    const STATE_TAG: u8 = ldp_core::snapshot::state_tag::APPLE_HCMS;
+    const NAME: &'static str = "HCMS oracle";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         ldp_core::wire::put_uvarint(out, self.domain);
-        self.server.snapshot_payload(out);
+        self.server.config_bytes(out);
     }
 
-    fn restore_payload(&mut self, r: &mut ldp_core::wire::WireReader<'_>) -> ldp_core::Result<()> {
-        ldp_core::snapshot::check_u64(r, self.domain, "HCMS oracle domain")?;
-        self.server.restore_payload(r)
-    }
+    ldp_core::counter_fields!(Count server.n, Signed server.spectrum);
 }
 
 impl FoAggregator for HcmsAggregator {
@@ -460,18 +420,12 @@ impl FoAggregator for HcmsAggregator {
         self.server.estimate_items(items)
     }
 
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.domain, other.domain, "merge: domain mismatch");
-        self.server.merge(other.server);
+    fn merge(&mut self, other: Self) -> ldp_core::Result<()> {
+        counters::merge(self, &other)
     }
 
     fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        if self.domain != other.domain {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: HCMS oracle domain mismatch".into(),
-            ));
-        }
-        self.server.try_subtract(&other.server)
+        counters::subtract(self, other)
     }
 }
 
@@ -499,11 +453,11 @@ impl FrequencyOracle for HcmsOracle {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(HcmsReport),
+        F: FnMut(&HcmsReport),
     {
         for &v in values {
             assert!(v < self.domain, "value {v} outside domain");
-            sink(self.protocol.randomize(v, rng));
+            sink(&self.protocol.randomize(v, rng));
         }
     }
 
@@ -659,7 +613,7 @@ mod tests {
             seq.accumulate(&proto.randomize(u % 9, &mut rng2));
         }
 
-        a.merge(b);
+        a.merge(b).unwrap();
         assert_eq!(a.spectrum, seq.spectrum);
         assert_eq!(a.reports(), seq.reports());
     }

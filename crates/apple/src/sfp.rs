@@ -20,6 +20,7 @@
 //!    by their whole-word sketch estimate.
 
 use crate::cms::{CmsProtocol, CmsServer};
+use ldp_core::fo::counters::{self, Op};
 use ldp_core::{Epsilon, Error, Result};
 use ldp_sketch::hash::hash_bytes64;
 use rand::Rng;
@@ -187,50 +188,41 @@ impl SfpCollectors {
     /// Merges another shard's collectors into this one (exact integer
     /// counter addition — bit-identical to sequential collection).
     ///
-    /// # Panics
-    /// Panics if the two collector sets came from different
-    /// [`SfpDiscovery`] instances.
-    pub fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.fragments.len(),
-            other.fragments.len(),
-            "merge: position count mismatch"
-        );
-        for (a, b) in self.fragments.iter_mut().zip(other.fragments) {
-            a.merge(b);
-        }
-        self.word.merge(other.word);
+    /// # Errors
+    /// As [`counters::apply`], for a position-count mismatch or any
+    /// sketch; a refusal from one sketch undoes the ones already merged,
+    /// so `self` is unchanged on error.
+    pub fn merge(&mut self, other: Self) -> Result<()> {
+        self.apply(&other, Op::Merge)
     }
 
     /// Subtracts another collector pair's counters from this one — the
-    /// exact inverse of [`merge`](Self::merge), checked across **every**
-    /// fragment sketch and the word sketch before any of them moves, so
-    /// a refusal leaves the whole state untouched.
+    /// exact inverse of [`merge`](Self::merge), all-or-nothing the same
+    /// way.
     ///
     /// # Errors
-    /// [`ldp_core::LdpError::StateMismatch`] if the sketch shapes differ
-    /// or `other` is not a sub-aggregate of this state.
-    pub fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        let fits = self.fragments.len() == other.fragments.len()
-            && self
-                .fragments
-                .iter()
-                .zip(&other.fragments)
-                .all(|(a, b)| a.subtract_fits(b))
-            && self.word.subtract_fits(&other.word);
-        if !fits {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: SFP subtrahend is not configured like, or is not a sub-aggregate of, \
-                 this state"
-                    .into(),
-            ));
+    /// As [`merge`](Self::merge).
+    pub fn try_subtract(&mut self, other: &Self) -> Result<()> {
+        self.apply(other, Op::Subtract)
+    }
+
+    fn apply(&mut self, other: &Self, op: Op) -> Result<()> {
+        if self.fragments.len() != other.fragments.len() {
+            return Err(Error::StateMismatch("SFP position counts differ".into()));
         }
-        for (a, b) in self.fragments.iter_mut().zip(&other.fragments) {
-            a.try_subtract(b).expect("pre-checked fragment subtract");
+        let mine = self.fragments.iter_mut().chain([&mut self.word]);
+        let mut parts: Vec<_> = mine
+            .zip(other.fragments.iter().chain([&other.word]))
+            .collect();
+        for i in 0..parts.len() {
+            let (a, b) = &mut parts[i];
+            if let Err(e) = counters::apply(*a, b, op) {
+                for (a, b) in &mut parts[..i] {
+                    counters::apply(*a, b, op.inverse()).expect("exact inverse");
+                }
+                return Err(e);
+            }
         }
-        self.word
-            .try_subtract(&other.word)
-            .expect("pre-checked word subtract");
         Ok(())
     }
 }
@@ -526,6 +518,22 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A refusal from the word sketch, after every fragment sketch has
+    /// already moved, undoes the fragments: the composite stays
+    /// all-or-nothing.
+    #[test]
+    fn refusal_from_a_later_sketch_undoes_the_earlier_ones() {
+        let sfp = SfpDiscovery::new(SfpConfig::simulation(Epsilon::new(4.0).unwrap()), 3).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut a = sfp.new_collectors();
+        sfp.collect(&[b"face", b"time"], &mut rng, &mut a);
+        let mut b = a.clone();
+        b.word.accumulate_fused(7, &mut rng);
+        let before = ldp_core::snapshot::snapshot_vec(&a);
+        assert!(matches!(a.try_subtract(&b), Err(Error::StateMismatch(_))));
+        assert_eq!(ldp_core::snapshot::snapshot_vec(&a), before);
+    }
 
     #[test]
     fn puzzle_piece_is_8_bits_and_stable() {

@@ -11,7 +11,7 @@ use ldp_apple::hcms::{HcmsOracle, HcmsProtocol};
 use ldp_apple::sfp::{SfpConfig, SfpDiscovery};
 use ldp_core::fo::{FoAggregator, FrequencyOracle};
 use ldp_core::Epsilon;
-use ldp_workloads::parallel::{accumulate_sharded, accumulate_sharded_sequential};
+use ldp_workloads::parallel::{accumulate_mech_sharded, accumulate_mech_sharded_sequential};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +39,7 @@ fn check_batch_matches_scalar<O: FrequencyOracle>(oracle: &O, values: &[u64], se
     let mut batch_agg = oracle.new_aggregator();
     for (i, shard) in shards.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed ^ (i as u64) << 32);
-        oracle.randomize_batch(shard, &mut rng, |r| batch_agg.accumulate(&r));
+        oracle.randomize_batch(shard, &mut rng, |r| batch_agg.accumulate(r));
     }
 
     let mut fused_agg = oracle.new_aggregator();
@@ -79,8 +79,8 @@ where
     O::Aggregator: Send,
 {
     for &shards in &[1usize, 3, 16] {
-        let par = accumulate_sharded(oracle, values, 42, shards).estimate();
-        let seq = accumulate_sharded_sequential(oracle, values, 42, shards).estimate();
+        let par = accumulate_mech_sharded(&oracle, values, 42, shards).estimate();
+        let seq = accumulate_mech_sharded_sequential(&oracle, values, 42, shards).estimate();
         assert_eq!(par.len(), seq.len());
         for (i, (a, b)) in par.iter().zip(&seq).enumerate() {
             assert_eq!(
@@ -165,7 +165,7 @@ fn sfp_collect_bit_identical_and_mergeable() {
     let mut rng_r = StdRng::seed_from_u64(22);
     sfp.collect(&words[..4500], &mut rng_l, &mut left);
     sfp.collect(&words[4500..], &mut rng_r, &mut right);
-    left.merge(right);
+    left.merge(right).unwrap();
 
     let mut seq = sfp.new_collectors();
     let mut rng_l2 = StdRng::seed_from_u64(21);

@@ -114,7 +114,7 @@ proptest! {
         let mut b = sfp.new_collectors();
         sfp.collect(rest, &mut rng, &mut b);
         let mut merged = a.clone();
-        merged.merge(b.clone());
+        merged.merge(b.clone()).unwrap();
 
         merged.try_subtract(&b).expect("b is a sub-aggregate");
         prop_assert_eq!(snapshot_vec(&merged), snapshot_vec(&a));

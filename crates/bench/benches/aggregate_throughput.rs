@@ -72,7 +72,8 @@ use ldp_planner::{workspace_planner, Plan, Planner, WorkloadSpec};
 use ldp_rappor::{RapporAggregator, RapporClient, RapporParams};
 use ldp_workloads::gen::{exact_counts, ZipfGenerator};
 use ldp_workloads::parallel::{
-    accumulate_sharded_sequential, accumulate_sharded_with_workers, planned_workers, shard_seed,
+    accumulate_mech_sharded_sequential, accumulate_mech_sharded_with_workers, planned_workers,
+    shard_seed,
 };
 use ldp_workloads::pipeline::{
     split_frames, BackpressurePolicy, CollectorPipeline, PipelineConfig,
@@ -284,7 +285,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 }
 
 /// Legacy scalar collection over the engine's shard plan (same shard
-/// seeds and merge order as `accumulate_sharded`, scalar per-report path
+/// seeds and merge order as `accumulate_mech_sharded`, scalar per-report path
 /// inside) — the old collect loop, kept for the old-vs-new comparison.
 fn legacy_collect_oue(
     oracle: &OptimizedUnaryEncoding,
@@ -455,10 +456,12 @@ fn bench_old_vs_new(_c: &mut Criterion) {
         black_box(legacy_collect_oue(&oue, &values, 5, shards));
     });
     let batch_collect_1w_ns = median_ns(collect_reps, || {
-        black_box(accumulate_sharded_sequential(&oue, &values, 5, shards).reports());
+        black_box(accumulate_mech_sharded_sequential(&&oue, &values, 5, shards).reports());
     });
     let par_collect_ns = median_ns(collect_reps, || {
-        black_box(accumulate_sharded_with_workers(&oue, &values, 5, shards, threads).reports());
+        black_box(
+            accumulate_mech_sharded_with_workers(&&oue, &values, 5, shards, threads).reports(),
+        );
     });
     let collect_speedup = seq_collect_ns / par_collect_ns;
     let thread_scaling = batch_collect_1w_ns / par_collect_ns;
@@ -508,7 +511,7 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     let mut e2e_ratio_samples = Vec::with_capacity(collect_reps);
     for _ in 0..collect_reps {
         let start = Instant::now();
-        black_box(accumulate_sharded_sequential(&oue, &values, 5, shards).reports());
+        black_box(accumulate_mech_sharded_sequential(&&oue, &values, 5, shards).reports());
         let direct = start.elapsed().as_nanos() as f64;
         let start = Instant::now();
         wire_client

@@ -7,6 +7,7 @@
 //! choice for small domains (`d < 3e^ε + 2`), a crossover that experiment
 //! E2 reproduces.
 
+use super::counters::{self, CounterState};
 use super::{FoAggregator, FrequencyOracle};
 use crate::privacy::Epsilon;
 use crate::rr::KaryRandomizedResponse;
@@ -64,12 +65,12 @@ impl FrequencyOracle for DirectEncoding {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(u64),
+        F: FnMut(&u64),
     {
         // Monomorphized k-ary RR: the two uniform draws per report inline
         // instead of going through the `dyn RngCore` vtable.
         for &v in values {
-            sink(self.inner.randomize(v, rng));
+            sink(&self.inner.randomize(v, rng));
         }
     }
 
@@ -118,27 +119,16 @@ pub struct DirectAggregator {
     q: f64,
 }
 
-impl crate::snapshot::StateSnapshot for DirectAggregator {
-    fn state_tag(&self) -> u8 {
-        crate::snapshot::state_tag::DIRECT
-    }
+impl CounterState for DirectAggregator {
+    const STATE_TAG: u8 = crate::snapshot::state_tag::DIRECT;
+    const NAME: &'static str = "GRR";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         crate::wire::put_f64_le(out, self.p);
         crate::wire::put_f64_le(out, self.q);
-        crate::snapshot::put_count(out, self.n);
-        crate::snapshot::put_counts(out, &self.histogram);
     }
 
-    fn restore_payload(&mut self, r: &mut crate::wire::WireReader<'_>) -> crate::Result<()> {
-        crate::snapshot::check_f64(r, self.p, "GRR p")?;
-        crate::snapshot::check_f64(r, self.q, "GRR q")?;
-        let n = crate::snapshot::get_count(r)?;
-        let histogram = crate::snapshot::get_counts(r, self.histogram.len(), "GRR histogram")?;
-        self.n = n;
-        self.histogram = histogram;
-        Ok(())
-    }
+    crate::counter_fields!(Count n, Plane histogram);
 }
 
 impl FoAggregator for DirectAggregator {
@@ -172,36 +162,12 @@ impl FoAggregator for DirectAggregator {
             .collect()
     }
 
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.histogram.len(),
-            other.histogram.len(),
-            "merge: domain mismatch"
-        );
-        assert!(
-            self.p == other.p && self.q == other.q,
-            "merge: channel probability mismatch"
-        );
-        for (a, b) in self.histogram.iter_mut().zip(&other.histogram) {
-            *a += b;
-        }
-        self.n += other.n;
+    fn merge(&mut self, other: Self) -> crate::Result<()> {
+        counters::merge(self, &other)
     }
 
     fn try_subtract(&mut self, other: &Self) -> crate::Result<()> {
-        if self.histogram.len() != other.histogram.len() || self.p != other.p || self.q != other.q {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: GRR configuration mismatch".into(),
-            ));
-        }
-        if self.n < other.n || !super::counts_fit(&self.histogram, &other.histogram) {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: GRR subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        super::subtract_counts(&mut self.histogram, &other.histogram);
-        self.n -= other.n;
-        Ok(())
+        counters::subtract(self, other)
     }
 }
 

@@ -15,6 +15,7 @@
 //! `log m + 1`-bit report, the communication-optimal point the tutorial
 //! highlights in Apple's design.
 
+use super::counters::{self, CounterState};
 use super::{FoAggregator, FrequencyOracle};
 use crate::privacy::Epsilon;
 use ldp_sketch::hadamard::{fwht, hadamard_entry};
@@ -104,10 +105,10 @@ impl FrequencyOracle for HadamardResponse {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(HrReport),
+        F: FnMut(&HrReport),
     {
         for &v in values {
-            sink(self.randomize_impl(v, rng));
+            sink(&self.randomize_impl(v, rng));
         }
     }
 
@@ -200,31 +201,18 @@ impl HrAggregator {
     }
 }
 
-impl crate::snapshot::StateSnapshot for HrAggregator {
-    fn state_tag(&self) -> u8 {
-        crate::snapshot::state_tag::HADAMARD
-    }
+impl CounterState for HrAggregator {
+    const STATE_TAG: u8 = crate::snapshot::state_tag::HADAMARD;
+    const NAME: &'static str = "HR";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         crate::wire::put_uvarint(out, self.d);
         crate::wire::put_f64_le(out, self.p_truth);
-        crate::snapshot::put_count(out, self.n);
-        crate::snapshot::put_signed_counts(out, &self.sign_sums);
-        crate::snapshot::put_counts(out, &self.row_counts);
     }
 
-    fn restore_payload(&mut self, r: &mut crate::wire::WireReader<'_>) -> crate::Result<()> {
-        crate::snapshot::check_u64(r, self.d, "HR domain size")?;
-        crate::snapshot::check_f64(r, self.p_truth, "HR truth probability")?;
-        let n = crate::snapshot::get_count(r)?;
-        let sign_sums =
-            crate::snapshot::get_signed_counts(r, self.sign_sums.len(), "HR sign sums")?;
-        let row_counts = crate::snapshot::get_counts(r, self.row_counts.len(), "HR row counts")?;
-        self.n = n;
-        self.sign_sums = sign_sums;
-        self.row_counts = row_counts;
-        Ok(())
-    }
+    // Sign sums are signed (±1 per report), so only `n` and the per-row
+    // report counts can detect a subtrahend that is not a sub-aggregate.
+    crate::counter_fields!(Count n, Signed sign_sums, Plane row_counts);
 }
 
 impl FoAggregator for HrAggregator {
@@ -279,47 +267,12 @@ impl FoAggregator for HrAggregator {
             .collect()
     }
 
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.sign_sums.len(),
-            other.sign_sums.len(),
-            "merge: spectrum size mismatch"
-        );
-        assert!(
-            self.d == other.d && self.p_truth == other.p_truth,
-            "merge: oracle configuration mismatch"
-        );
-        for (a, b) in self.sign_sums.iter_mut().zip(&other.sign_sums) {
-            *a += b;
-        }
-        for (a, b) in self.row_counts.iter_mut().zip(&other.row_counts) {
-            *a += b;
-        }
-        self.n += other.n;
+    fn merge(&mut self, other: Self) -> crate::Result<()> {
+        counters::merge(self, &other)
     }
 
     fn try_subtract(&mut self, other: &Self) -> crate::Result<()> {
-        if self.sign_sums.len() != other.sign_sums.len()
-            || self.d != other.d
-            || self.p_truth != other.p_truth
-        {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: HR configuration mismatch".into(),
-            ));
-        }
-        // Sign sums are signed (±1 per report), so only the per-row
-        // report counts and `n` can detect a non-sub-aggregate.
-        if self.n < other.n || !super::counts_fit(&self.row_counts, &other.row_counts) {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: HR subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        for (a, b) in self.sign_sums.iter_mut().zip(&other.sign_sums) {
-            *a -= b;
-        }
-        super::subtract_counts(&mut self.row_counts, &other.row_counts);
-        self.n -= other.n;
-        Ok(())
+        counters::subtract(self, other)
     }
 }
 

@@ -32,6 +32,7 @@
 //! extra variance term from hash collisions shared within a cohort, which
 //! shrinks as `1/C` (see [`CohortLocalHashing::count_variance`]).
 
+use super::counters::{self, CounterState};
 use super::{FoAggregator, FrequencyOracle};
 use crate::estimate::debiased_count_variance;
 use crate::privacy::Epsilon;
@@ -134,10 +135,10 @@ impl FrequencyOracle for LocalHashing {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(LhReport),
+        F: FnMut(&LhReport),
     {
         for &v in values {
-            sink(self.randomize_impl(v, rng));
+            sink(&self.randomize_impl(v, rng));
         }
     }
 
@@ -240,7 +241,7 @@ macro_rules! delegate_oracle {
             fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, sink: F)
             where
                 R: RngCore,
-                F: FnMut(LhReport),
+                F: FnMut(&LhReport),
             {
                 self.0.randomize_batch(values, rng, sink)
             }
@@ -388,14 +389,18 @@ impl FoAggregator for LhAggregator {
         items.iter().map(|&v| self.estimate_one(v, n)).collect()
     }
 
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.d, other.d, "merge: domain mismatch");
-        assert_eq!(self.family, other.family, "merge: hash family mismatch");
-        assert!(
-            self.p == other.p && self.q == other.q,
-            "merge: channel probability mismatch"
-        );
+    fn merge(&mut self, other: Self) -> crate::Result<()> {
+        if self.d != other.d
+            || self.family != other.family
+            || self.p != other.p
+            || self.q != other.q
+        {
+            return Err(crate::LdpError::StateMismatch(
+                "merge: BLH/OLH configuration mismatch".into(),
+            ));
+        }
         self.reports.extend(other.reports);
+        Ok(())
     }
 
     /// Raw local hashing keeps the trait's refusal, with its own reason:
@@ -581,10 +586,10 @@ impl FrequencyOracle for CohortLocalHashing {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(CohortLhReport),
+        F: FnMut(&CohortLhReport),
     {
         for &v in values {
-            sink(self.randomize_impl(v, rng));
+            sink(&self.randomize_impl(v, rng));
         }
     }
 
@@ -716,35 +721,20 @@ impl CohortLhAggregator {
     }
 }
 
-impl crate::snapshot::StateSnapshot for CohortLhAggregator {
-    fn state_tag(&self) -> u8 {
-        crate::snapshot::state_tag::COHORT_HASH
-    }
+impl CounterState for CohortLhAggregator {
+    const STATE_TAG: u8 = crate::snapshot::state_tag::COHORT_HASH;
+    const NAME: &'static str = "OLH-C";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         crate::wire::put_uvarint(out, self.d);
         crate::wire::put_uvarint(out, self.g);
         crate::wire::put_uvarint(out, u64::from(self.cohorts));
         crate::wire::put_u64_le(out, self.seed_base);
         crate::wire::put_f64_le(out, self.p);
         crate::wire::put_f64_le(out, self.q);
-        crate::snapshot::put_count(out, self.n);
-        crate::snapshot::put_counts(out, &self.counts);
     }
 
-    fn restore_payload(&mut self, r: &mut crate::wire::WireReader<'_>) -> crate::Result<()> {
-        crate::snapshot::check_u64(r, self.d, "OLH-C domain size")?;
-        crate::snapshot::check_u64(r, self.g, "OLH-C bucket count")?;
-        crate::snapshot::check_u64(r, u64::from(self.cohorts), "OLH-C cohorts")?;
-        crate::snapshot::check_u64_le(r, self.seed_base, "OLH-C seed base")?;
-        crate::snapshot::check_f64(r, self.p, "OLH-C p")?;
-        crate::snapshot::check_f64(r, self.q, "OLH-C q")?;
-        let n = crate::snapshot::get_count(r)?;
-        let counts = crate::snapshot::get_counts(r, self.counts.len(), "OLH-C count matrix")?;
-        self.n = n;
-        self.counts = counts;
-        Ok(())
-    }
+    crate::counter_fields!(Count n, Plane counts);
 }
 
 impl FoAggregator for CohortLhAggregator {
@@ -787,42 +777,12 @@ impl FoAggregator for CohortLhAggregator {
         self.debias(self.support_counts(items.iter().copied(), items.len()))
     }
 
-    fn merge(&mut self, other: Self) {
-        assert!(
-            self.d == other.d
-                && self.g == other.g
-                && self.cohorts == other.cohorts
-                && self.seed_base == other.seed_base
-                && self.p == other.p
-                && self.q == other.q,
-            "merge: cohort aggregator configuration mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.n += other.n;
+    fn merge(&mut self, other: Self) -> crate::Result<()> {
+        counters::merge(self, &other)
     }
 
     fn try_subtract(&mut self, other: &Self) -> crate::Result<()> {
-        if self.d != other.d
-            || self.g != other.g
-            || self.cohorts != other.cohorts
-            || self.seed_base != other.seed_base
-            || self.p != other.p
-            || self.q != other.q
-        {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: OLH-C configuration mismatch".into(),
-            ));
-        }
-        if self.n < other.n || !super::counts_fit(&self.counts, &other.counts) {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: OLH-C subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        super::subtract_counts(&mut self.counts, &other.counts);
-        self.n -= other.n;
-        Ok(())
+        counters::subtract(self, other)
     }
 }
 
@@ -1091,7 +1051,7 @@ mod tests {
                 b.accumulate(r);
             }
         }
-        a.merge(b);
+        a.merge(b).unwrap();
         assert_eq!(a.reports(), seq.reports());
         assert_eq!(a.count_matrix(), seq.count_matrix());
         assert_eq!(a.estimate(), seq.estimate());
@@ -1108,17 +1068,25 @@ mod tests {
                 b.accumulate(r);
             }
         }
-        a.merge(b);
+        a.merge(b).unwrap();
         assert_eq!(a.reports(), seq.reports());
         assert_eq!(a.estimate(), seq.estimate());
     }
 
     #[test]
-    #[should_panic(expected = "configuration mismatch")]
     fn cohort_merge_rejects_mismatched_seed_base() {
         let e = eps(1.0);
         let a = CohortLocalHashing::with_params(16, 4, 8, 1, e);
         let b = CohortLocalHashing::with_params(16, 4, 8, 2, e);
-        a.new_aggregator().merge(b.new_aggregator());
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut agg = a.new_aggregator();
+        agg.accumulate(&a.randomize(5, &mut rng));
+        let before = agg.clone();
+        assert!(matches!(
+            agg.merge(b.new_aggregator()),
+            Err(crate::LdpError::StateMismatch(_))
+        ));
+        assert_eq!(agg.count_matrix(), before.count_matrix());
+        assert_eq!(agg.reports(), before.reports());
     }
 }

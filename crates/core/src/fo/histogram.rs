@@ -23,6 +23,7 @@
 //! expected uniform draws per report instead of `d` Laplace draws — and
 //! never materializes the continuous noise it marginalizes out.
 
+use super::counters::{self, CounterState};
 use super::{batch, FoAggregator, FrequencyOracle, SetBitSampler};
 use crate::estimate::debiased_count_variance;
 use crate::noise::fill_laplace;
@@ -104,10 +105,10 @@ impl FrequencyOracle for SummationHistogramEncoding {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(Vec<f64>),
+        F: FnMut(&Vec<f64>),
     {
         for &v in values {
-            sink(self.randomize_impl(v, rng));
+            sink(&self.randomize_impl(v, rng));
         }
     }
 
@@ -222,12 +223,20 @@ impl FoAggregator for SheAggregator {
     /// merge in the family: equal to sequential accumulation up to
     /// addition reassociation (the counts are exact for every integer
     /// aggregator).
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.sums.len(), other.sums.len(), "merge: domain mismatch");
+    fn merge(&mut self, other: Self) -> crate::Result<()> {
+        if self.sums.len() != other.sums.len() {
+            return Err(crate::LdpError::StateMismatch(
+                "merge: SHE domain mismatch".into(),
+            ));
+        }
+        let n = self.n.checked_add(other.n).ok_or_else(|| {
+            crate::LdpError::CounterOverflow("merge: SHE report count overflows".into())
+        })?;
         for (a, b) in self.sums.iter_mut().zip(&other.sums) {
             *a += b;
         }
-        self.n += other.n;
+        self.n = n;
+        Ok(())
     }
 
     /// SHE keeps the trait's refusal, with its own reason: the state is
@@ -403,19 +412,9 @@ impl FrequencyOracle for ThresholdHistogramEncoding {
         self.randomize_impl(value, rng)
     }
 
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(BitVec),
-    {
-        for &v in values {
-            sink(self.randomize_impl(v, rng));
-        }
-    }
-
     /// Reusable-buffer batch path: one `BitVec` cleared and re-filled per
-    /// report; same RNG stream — and hence same bits — as the owned path.
-    fn randomize_batch_ref<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
+    /// report; same RNG stream — and hence same bits — as `randomize`.
+    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
         F: FnMut(&BitVec),
@@ -476,27 +475,16 @@ pub struct TheAggregator {
     q: f64,
 }
 
-impl crate::snapshot::StateSnapshot for TheAggregator {
-    fn state_tag(&self) -> u8 {
-        crate::snapshot::state_tag::THE
-    }
+impl CounterState for TheAggregator {
+    const STATE_TAG: u8 = crate::snapshot::state_tag::THE;
+    const NAME: &'static str = "THE";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         crate::wire::put_f64_le(out, self.p);
         crate::wire::put_f64_le(out, self.q);
-        crate::snapshot::put_count(out, self.n);
-        crate::snapshot::put_counts(out, &self.ones);
     }
 
-    fn restore_payload(&mut self, r: &mut crate::wire::WireReader<'_>) -> crate::Result<()> {
-        crate::snapshot::check_f64(r, self.p, "THE p")?;
-        crate::snapshot::check_f64(r, self.q, "THE q")?;
-        let n = crate::snapshot::get_count(r)?;
-        let ones = crate::snapshot::get_counts(r, self.ones.len(), "THE ones")?;
-        self.n = n;
-        self.ones = ones;
-        Ok(())
-    }
+    crate::counter_fields!(Count n, Plane ones);
 }
 
 impl FoAggregator for TheAggregator {
@@ -553,32 +541,12 @@ impl FoAggregator for TheAggregator {
             .collect()
     }
 
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.ones.len(), other.ones.len(), "merge: domain mismatch");
-        assert!(
-            self.p == other.p && self.q == other.q,
-            "merge: channel probability mismatch"
-        );
-        for (a, b) in self.ones.iter_mut().zip(&other.ones) {
-            *a += b;
-        }
-        self.n += other.n;
+    fn merge(&mut self, other: Self) -> crate::Result<()> {
+        counters::merge(self, &other)
     }
 
     fn try_subtract(&mut self, other: &Self) -> crate::Result<()> {
-        if self.ones.len() != other.ones.len() || self.p != other.p || self.q != other.q {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: THE configuration mismatch".into(),
-            ));
-        }
-        if self.n < other.n || !super::counts_fit(&self.ones, &other.ones) {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: THE subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        super::subtract_counts(&mut self.ones, &other.ones);
-        self.n -= other.n;
-        Ok(())
+        counters::subtract(self, other)
     }
 }
 

@@ -72,8 +72,15 @@
 //! All aggregators additionally support [`FoAggregator::merge`], so
 //! collection can be sharded across threads or machines and combined —
 //! see `ldp_workloads::parallel` for the `std::thread::scope` harness.
+//! Merge is fallible and all-or-nothing: an incompatible or overflowing
+//! operand is refused with a typed error and the state left unchanged.
+//! For every count-based aggregator (all but SHE's float sums and raw
+//! local hashing's report list) merge, exact subtract, snapshot and
+//! restore live once, in the [`counters`] kernel; the aggregator keeps
+//! only its config, its accumulate paths and `estimate`.
 
 pub mod batch;
+pub mod counters;
 pub mod direct;
 pub mod hadamard;
 pub mod hashing;
@@ -121,7 +128,7 @@ pub trait FrequencyOracle {
     fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> Self::Report;
 
     /// Batch client side: privatizes every value in `values`, handing each
-    /// report to `sink` in input order.
+    /// report to `sink` **by reference**, in input order.
     ///
     /// Unlike [`randomize`](Self::randomize), the RNG is a generic
     /// `R: RngCore` — per-draw calls monomorphize instead of going through
@@ -132,39 +139,21 @@ pub trait FrequencyOracle {
     /// as the scalar loop (the bit-identity contract the proptests in
     /// `crates/core/tests/batch_oracles.rs` enforce).
     ///
+    /// The borrow lasts only for the `sink` call, so the unary family
+    /// reuses one `BitVec` for the whole batch; a sink that needs
+    /// ownership clones.
+    ///
     /// # Panics
     /// Panics if any value is `>= domain_size()`.
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         Self: Sized,
         R: RngCore,
-        F: FnMut(Self::Report),
-    {
-        for &v in values {
-            sink(self.randomize(v, rng));
-        }
-    }
-
-    /// [`randomize_batch`](Self::randomize_batch) handing each report to
-    /// `sink` **by reference**, so oracles whose reports own heap buffers
-    /// (the unary family's `BitVec`s) can reuse one report allocation for
-    /// the whole batch. This is the path serializing consumers ride — the
-    /// wire layer encodes each report to bytes and never needs ownership,
-    /// so materializing a fresh report per user is pure allocator churn.
-    ///
-    /// The default delegates to `randomize_batch` (same reports, same RNG
-    /// stream); overrides must preserve both. The borrow is only valid
-    /// for the duration of the `sink` call.
-    ///
-    /// # Panics
-    /// Panics if any value is `>= domain_size()`.
-    fn randomize_batch_ref<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        Self: Sized,
-        R: RngCore,
         F: FnMut(&Self::Report),
     {
-        self.randomize_batch(values, rng, |r| sink(&r));
+        for &v in values {
+            sink(&self.randomize(v, rng));
+        }
     }
 
     /// Fused batch client+server step: privatizes every value in `values`
@@ -187,7 +176,7 @@ pub trait FrequencyOracle {
         Self: Sized,
         R: RngCore,
     {
-        self.randomize_batch(values, rng, |r| agg.accumulate(&r));
+        self.randomize_batch(values, rng, |r| agg.accumulate(r));
     }
 
     /// Creates an empty aggregator configured for this oracle instance.
@@ -332,7 +321,7 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
     }
 
     /// Merges another aggregator's state into this one, as if every report
-    /// accumulated into `other` had been accumulated here instead.
+    /// accumulated into `other` had been accumulated here.
     ///
     /// Merging is associative, and for the count-based aggregators (every
     /// oracle except SHE, whose state is floating-point sums subject to
@@ -344,11 +333,17 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
     /// `ldp_workloads::parallel` module provides the `std::thread::scope`
     /// harness built on this operation.
     ///
-    /// # Panics
-    /// Implementations panic if `other` was configured incompatibly
-    /// (different domain size, bucket count, cohort set, or channel
-    /// probabilities).
-    fn merge(&mut self, other: Self)
+    /// Calls are all-or-nothing: a refused merge leaves `self` unchanged.
+    /// The count-based aggregators delegate to [`counters::merge`], which
+    /// refuses a counter sum that would wrap (forged or corrupted state)
+    /// instead of folding it in.
+    ///
+    /// # Errors
+    /// [`crate::LdpError::StateMismatch`] when `other` was configured
+    /// incompatibly (different domain size, bucket count, cohort set, or
+    /// channel probabilities); [`crate::LdpError::CounterOverflow`] when
+    /// a counter sum would leave its integer range.
+    fn merge(&mut self, other: Self) -> crate::Result<()>
     where
         Self: Sized;
 
@@ -370,10 +365,10 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
     /// hashing (a report list records that reports arrived, not which
     /// ones a given window contributed).
     ///
-    /// Calls are all-or-nothing: every check (configuration equality,
-    /// counter underflow) happens before the first counter moves, so a
-    /// failed subtract leaves `self` untouched and callers can fall back
-    /// to a rebuild.
+    /// Calls are all-or-nothing: a failed subtract (configuration
+    /// mismatch, counter underflow) leaves `self` untouched, so callers
+    /// can fall back to a rebuild. The count-based aggregators delegate
+    /// to [`counters::subtract`].
     ///
     /// # Errors
     /// [`crate::LdpError::NotSubtractive`] when this aggregator kind has
@@ -388,31 +383,6 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
         Err(crate::LdpError::NotSubtractive(
             "this aggregator's state has no exact merge inverse".into(),
         ))
-    }
-}
-
-/// True iff every counter in `sub` fits under its counterpart in `dst` —
-/// the underflow pre-check shared by the count-based
-/// [`FoAggregator::try_subtract`] overrides across the workspace crates.
-/// Callers check **all** of an aggregator's counter vectors with this
-/// before committing any subtraction, so a refused subtract is a no-op.
-#[inline]
-pub fn counts_fit(dst: &[u64], sub: &[u64]) -> bool {
-    dst.len() == sub.len() && dst.iter().zip(sub).all(|(a, b)| a >= b)
-}
-
-/// Coordinate-wise counter subtraction — the commit half of the
-/// count-based [`FoAggregator::try_subtract`] overrides. Callers verify
-/// [`counts_fit`] on every vector first.
-///
-/// # Panics
-/// Debug-panics on length mismatch or underflow (release builds wrap,
-/// which the `counts_fit` pre-check makes unreachable).
-#[inline]
-pub fn subtract_counts(dst: &mut [u64], sub: &[u64]) {
-    debug_assert_eq!(dst.len(), sub.len());
-    for (a, b) in dst.iter_mut().zip(sub) {
-        *a -= b;
     }
 }
 

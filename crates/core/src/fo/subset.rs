@@ -13,6 +13,7 @@
 //! the inclusion probability works out to
 //! `q* = p*·(k−1)/(d−1) + (1−p*)·k/(d−1)`.
 
+use super::counters::{self, CounterState};
 use super::{FoAggregator, FrequencyOracle};
 use crate::estimate::debiased_count_variance;
 use crate::privacy::Epsilon;
@@ -127,10 +128,10 @@ impl FrequencyOracle for SubsetSelection {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(Vec<u64>),
+        F: FnMut(&Vec<u64>),
     {
         for &v in values {
-            sink(self.randomize_impl(v, rng));
+            sink(&self.randomize_impl(v, rng));
         }
     }
 
@@ -200,29 +201,17 @@ pub struct SsAggregator {
     q: f64,
 }
 
-impl crate::snapshot::StateSnapshot for SsAggregator {
-    fn state_tag(&self) -> u8 {
-        crate::snapshot::state_tag::SUBSET
-    }
+impl CounterState for SsAggregator {
+    const STATE_TAG: u8 = crate::snapshot::state_tag::SUBSET;
+    const NAME: &'static str = "SS";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         crate::wire::put_uvarint(out, self.k);
         crate::wire::put_f64_le(out, self.p);
         crate::wire::put_f64_le(out, self.q);
-        crate::snapshot::put_count(out, self.n);
-        crate::snapshot::put_counts(out, &self.inclusions);
     }
 
-    fn restore_payload(&mut self, r: &mut crate::wire::WireReader<'_>) -> crate::Result<()> {
-        crate::snapshot::check_u64(r, self.k, "SS subset size")?;
-        crate::snapshot::check_f64(r, self.p, "SS p")?;
-        crate::snapshot::check_f64(r, self.q, "SS q")?;
-        let n = crate::snapshot::get_count(r)?;
-        let inclusions = crate::snapshot::get_counts(r, self.inclusions.len(), "SS inclusions")?;
-        self.n = n;
-        self.inclusions = inclusions;
-        Ok(())
-    }
+    crate::counter_fields!(Count n, Plane inclusions);
 }
 
 impl FoAggregator for SsAggregator {
@@ -276,40 +265,12 @@ impl FoAggregator for SsAggregator {
             .collect()
     }
 
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.inclusions.len(),
-            other.inclusions.len(),
-            "merge: domain mismatch"
-        );
-        assert!(
-            self.p == other.p && self.q == other.q && self.k == other.k,
-            "merge: channel probability mismatch"
-        );
-        for (a, b) in self.inclusions.iter_mut().zip(&other.inclusions) {
-            *a += b;
-        }
-        self.n += other.n;
+    fn merge(&mut self, other: Self) -> crate::Result<()> {
+        counters::merge(self, &other)
     }
 
     fn try_subtract(&mut self, other: &Self) -> crate::Result<()> {
-        if self.inclusions.len() != other.inclusions.len()
-            || self.p != other.p
-            || self.q != other.q
-            || self.k != other.k
-        {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: SS configuration mismatch".into(),
-            ));
-        }
-        if self.n < other.n || !super::counts_fit(&self.inclusions, &other.inclusions) {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: SS subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        super::subtract_counts(&mut self.inclusions, &other.inclusions);
-        self.n -= other.n;
-        Ok(())
+        counters::subtract(self, other)
     }
 }
 

@@ -21,6 +21,7 @@
 //! [`FrequencyOracle::randomize_accumulate_batch`] share this sampler, so
 //! both paths consume identical RNG streams for a given seed.
 
+use super::counters::{self, CounterState};
 use super::{batch, FoAggregator, FrequencyOracle, SetBitSampler};
 use crate::estimate::debiased_count_variance;
 use crate::privacy::Epsilon;
@@ -182,21 +183,11 @@ macro_rules! impl_unary_oracle {
                 self.core.randomize(value, rng)
             }
 
-            fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-            where
-                R: RngCore,
-                F: FnMut(BitVec),
-            {
-                for &v in values {
-                    sink(self.core.randomize(v, rng));
-                }
-            }
-
             /// Reusable-buffer batch path: one `BitVec` is cleared and
             /// re-filled per report, so a serializing consumer allocates
-            /// nothing per report. Draws the same RNG stream as the
-            /// owned-report path, so the emitted bits are identical.
-            fn randomize_batch_ref<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
+            /// nothing per report. Draws the same RNG stream as
+            /// `randomize`, so the emitted bits are identical.
+            fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
             where
                 R: RngCore,
                 F: FnMut(&BitVec),
@@ -284,27 +275,16 @@ pub struct UnaryAggregator {
     q: f64,
 }
 
-impl crate::snapshot::StateSnapshot for UnaryAggregator {
-    fn state_tag(&self) -> u8 {
-        crate::snapshot::state_tag::UNARY
-    }
+impl CounterState for UnaryAggregator {
+    const STATE_TAG: u8 = crate::snapshot::state_tag::UNARY;
+    const NAME: &'static str = "unary";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         crate::wire::put_f64_le(out, self.p);
         crate::wire::put_f64_le(out, self.q);
-        crate::snapshot::put_count(out, self.n);
-        crate::snapshot::put_counts(out, &self.ones);
     }
 
-    fn restore_payload(&mut self, r: &mut crate::wire::WireReader<'_>) -> crate::Result<()> {
-        crate::snapshot::check_f64(r, self.p, "unary p")?;
-        crate::snapshot::check_f64(r, self.q, "unary q")?;
-        let n = crate::snapshot::get_count(r)?;
-        let ones = crate::snapshot::get_counts(r, self.ones.len(), "unary ones")?;
-        self.n = n;
-        self.ones = ones;
-        Ok(())
-    }
+    crate::counter_fields!(Count n, Plane ones);
 }
 
 impl FoAggregator for UnaryAggregator {
@@ -361,32 +341,12 @@ impl FoAggregator for UnaryAggregator {
             .collect()
     }
 
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.ones.len(), other.ones.len(), "merge: domain mismatch");
-        assert!(
-            self.p == other.p && self.q == other.q,
-            "merge: channel probability mismatch"
-        );
-        for (a, b) in self.ones.iter_mut().zip(&other.ones) {
-            *a += b;
-        }
-        self.n += other.n;
+    fn merge(&mut self, other: Self) -> crate::Result<()> {
+        counters::merge(self, &other)
     }
 
     fn try_subtract(&mut self, other: &Self) -> crate::Result<()> {
-        if self.ones.len() != other.ones.len() || self.p != other.p || self.q != other.q {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: unary configuration mismatch".into(),
-            ));
-        }
-        if self.n < other.n || !super::counts_fit(&self.ones, &other.ones) {
-            return Err(crate::LdpError::StateMismatch(
-                "subtract: unary subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        super::subtract_counts(&mut self.ones, &other.ones);
-        self.n -= other.n;
-        Ok(())
+        counters::subtract(self, other)
     }
 }
 
@@ -548,7 +508,7 @@ mod tests {
 
         let mut batch_rng = StdRng::seed_from_u64(77);
         let mut batch_reports = Vec::new();
-        sue.randomize_batch(&values, &mut batch_rng, |r| batch_reports.push(r));
+        sue.randomize_batch(&values, &mut batch_rng, |r| batch_reports.push(r.clone()));
         assert_eq!(batch_reports, scalar_reports);
 
         let mut fused_rng = StdRng::seed_from_u64(77);

@@ -131,6 +131,10 @@ pub enum LdpError {
     /// that reassociate, or a raw report list with no window identity) —
     /// callers fall back to rebuilding the total from live deltas.
     NotSubtractive(String),
+    /// A merge would carry a counter past its integer range. Honest
+    /// collection cannot get there; only forged or corrupted state can,
+    /// so the merge is refused and both operands stay unchanged.
+    CounterOverflow(String),
 }
 
 /// Pre-PR-5 name of [`LdpError`], kept so existing `ldp_core::Error`
@@ -179,6 +183,7 @@ impl std::fmt::Display for LdpError {
             LdpError::NotSubtractive(msg) => {
                 write!(f, "aggregator state is not subtractive: {msg}")
             }
+            LdpError::CounterOverflow(msg) => write!(f, "counter overflow: {msg}"),
         }
     }
 }

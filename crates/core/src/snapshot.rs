@@ -20,6 +20,8 @@
 //! *counters*; [`restore_from`] validates every configuration field
 //! against the live aggregator before committing any counter, so a
 //! snapshot can only land in an aggregator built for the same protocol.
+//! Every count-based aggregator gets this codec from one place, the
+//! counter-state kernel ([`crate::fo::counters`]).
 //!
 //! Contracts, proptested in every mechanism crate's
 //! `tests/snapshot_roundtrip.rs`:
@@ -239,21 +241,34 @@ pub fn put_counts(out: &mut Vec<u8>, counts: &[u64]) {
 /// [`LdpError::Truncated`] when the declared length cannot fit in the
 /// remaining bytes (allocation bound: each varint is ≥ 1 byte).
 pub fn get_counts(r: &mut WireReader<'_>, expected: usize, what: &str) -> Result<Vec<u64>> {
+    get_vec(r, expected, what, 1, |r| r.uvarint())
+}
+
+/// Shared body of the vector readers: a length prefix that must equal
+/// `expected`, an allocation bound of `width` bytes per entry, then
+/// `expected` entries through `read`.
+fn get_vec<T>(
+    r: &mut WireReader<'_>,
+    expected: usize,
+    what: &str,
+    width: usize,
+    mut read: impl FnMut(&mut WireReader<'_>) -> Result<T>,
+) -> Result<Vec<T>> {
     let len = get_count(r)?;
     if len != expected {
         return Err(LdpError::StateMismatch(format!(
             "{what}: snapshot has {len} entries, aggregator has {expected}"
         )));
     }
-    if r.remaining() < len {
+    if r.remaining() < len.saturating_mul(width) {
         return Err(LdpError::Truncated {
-            needed: len,
+            needed: len.saturating_mul(width),
             available: r.remaining(),
         });
     }
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
-        out.push(r.uvarint()?);
+        out.push(read(r)?);
     }
     Ok(out)
 }
@@ -272,23 +287,7 @@ pub fn put_signed_counts(out: &mut Vec<u8>, counts: &[i64]) {
 /// # Errors
 /// Same contract as [`get_counts`].
 pub fn get_signed_counts(r: &mut WireReader<'_>, expected: usize, what: &str) -> Result<Vec<i64>> {
-    let len = get_count(r)?;
-    if len != expected {
-        return Err(LdpError::StateMismatch(format!(
-            "{what}: snapshot has {len} entries, aggregator has {expected}"
-        )));
-    }
-    if r.remaining() < len {
-        return Err(LdpError::Truncated {
-            needed: len,
-            available: r.remaining(),
-        });
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_ivarint(r)?);
-    }
-    Ok(out)
+    get_vec(r, expected, what, 1, get_ivarint)
 }
 
 /// Appends a length-prefixed vector of reals (8-byte LE each).
@@ -307,29 +306,15 @@ pub fn put_reals(out: &mut Vec<u8>, reals: &[f64]) {
 /// Same contract as [`get_counts`], plus [`LdpError::Malformed`] for
 /// NaN/infinite entries.
 pub fn get_reals(r: &mut WireReader<'_>, expected: usize, what: &str) -> Result<Vec<f64>> {
-    let len = get_count(r)?;
-    if len != expected {
-        return Err(LdpError::StateMismatch(format!(
-            "{what}: snapshot has {len} entries, aggregator has {expected}"
-        )));
-    }
-    if r.remaining() < len.saturating_mul(8) {
-        return Err(LdpError::Truncated {
-            needed: len * 8,
-            available: r.remaining(),
-        });
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
+    get_vec(r, expected, what, 8, |r| {
         let x = r.f64_le()?;
         if !x.is_finite() {
             return Err(LdpError::Malformed(format!(
                 "{what}: non-finite entry {x} in snapshot"
             )));
         }
-        out.push(x);
-    }
-    Ok(out)
+        Ok(x)
+    })
 }
 
 /// Reads a varint configuration field and checks it against the live
@@ -342,21 +327,6 @@ pub fn check_u64(r: &mut WireReader<'_>, expected: u64, what: &str) -> Result<()
     if got != expected {
         return Err(LdpError::StateMismatch(format!(
             "{what}: snapshot says {got}, aggregator says {expected}"
-        )));
-    }
-    Ok(())
-}
-
-/// Reads an 8-byte LE configuration field (u64) and checks it against
-/// the live aggregator's value — used for hash-family fingerprints.
-///
-/// # Errors
-/// [`LdpError::StateMismatch`] on disagreement.
-pub fn check_u64_le(r: &mut WireReader<'_>, expected: u64, what: &str) -> Result<()> {
-    let got = r.u64_le()?;
-    if got != expected {
-        return Err(LdpError::StateMismatch(format!(
-            "{what}: snapshot fingerprint {got:#018x} does not match aggregator {expected:#018x}"
         )));
     }
     Ok(())

@@ -796,7 +796,7 @@ impl<O: FrequencyOracle> WireMechanism for OracleMechanism<O> {
 
     /// Validates the whole batch up front (cheap range checks, no RNG
     /// consumed on error), then rides the oracle's monomorphized
-    /// [`FrequencyOracle::randomize_batch_ref`] — the same sampler, and
+    /// [`FrequencyOracle::randomize_batch`] — the same sampler, and
     /// therefore the same RNG stream, as the fused engine path, but with
     /// the oracle free to reuse one report buffer across the batch
     /// (serializing sinks only borrow each report).
@@ -812,7 +812,7 @@ impl<O: FrequencyOracle> WireMechanism for OracleMechanism<O> {
                 "input {bad} outside domain of size {d}"
             )));
         }
-        self.0.randomize_batch_ref(inputs, rng, sink);
+        self.0.randomize_batch(inputs, rng, sink);
         Ok(())
     }
 }
@@ -880,7 +880,7 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
         sink: impl FnMut(&BitVec),
     ) -> Result<()> {
         self.check_domain(inputs)?;
-        self.0.randomize_batch_ref(inputs, rng, sink);
+        self.0.randomize_batch(inputs, rng, sink);
         Ok(())
     }
 
@@ -962,9 +962,10 @@ pub trait ErasedAggregator: Send {
     ///
     /// # Errors
     /// [`LdpError::Malformed`] if `other` is not the same concrete
-    /// aggregator type. Same-type aggregators built from **equal**
-    /// descriptors always merge; the collector service enforces
-    /// descriptor equality before calling this.
+    /// aggregator type; otherwise whatever [`crate::fo::FoAggregator::merge`]
+    /// refuses ([`LdpError::CounterOverflow`] for counters forged or
+    /// corrupted past their range). The collector service enforces
+    /// descriptor equality before calling this. All-or-nothing.
     fn merge_erased(&mut self, other: Box<dyn ErasedAggregator>) -> Result<()>;
 
     /// Subtracts another erased aggregator's state from this one — the
@@ -1198,8 +1199,7 @@ where
             .into_any()
             .downcast::<Self>()
             .map_err(|_| LdpError::Malformed("merge: erased aggregator type mismatch".into()))?;
-        self.agg.merge(other.agg);
-        Ok(())
+        self.agg.merge(other.agg)
     }
 
     fn subtract_erased(&mut self, other: &dyn ErasedAggregator) -> Result<()> {

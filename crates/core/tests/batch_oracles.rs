@@ -40,7 +40,7 @@ fn check_batch_matches_scalar<O: FrequencyOracle>(oracle: &O, values: &[u64], se
     let mut batch_agg = oracle.new_aggregator();
     for (i, shard) in shards.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed ^ (i as u64) << 32);
-        oracle.randomize_batch(shard, &mut rng, |r| batch_agg.accumulate(&r));
+        oracle.randomize_batch(shard, &mut rng, |r| batch_agg.accumulate(r));
     }
 
     let mut fused_agg = oracle.new_aggregator();

@@ -53,12 +53,12 @@ where
     };
     // ((s0 + s1) + s2) and (s0 + (s1 + s2)).
     let mut left = shard(&reports[..lo]);
-    left.merge(shard(&reports[lo..hi]));
-    left.merge(shard(&reports[hi..]));
+    left.merge(shard(&reports[lo..hi])).unwrap();
+    left.merge(shard(&reports[hi..])).unwrap();
     let mut tail = shard(&reports[lo..hi]);
-    tail.merge(shard(&reports[hi..]));
+    tail.merge(shard(&reports[hi..])).unwrap();
     let mut right = shard(&reports[..lo]);
-    right.merge(tail);
+    right.merge(tail).unwrap();
 
     assert_eq!(
         left.reports(),
@@ -140,7 +140,7 @@ fn merge_with_empty_is_identity() {
         agg.accumulate(&oracle.randomize(u % 16, &mut rng));
     }
     let before = agg.estimate();
-    agg.merge(oracle.new_aggregator());
+    agg.merge(oracle.new_aggregator()).unwrap();
     assert_eq!(agg.estimate(), before);
     assert_eq!(agg.reports(), 200);
 
@@ -150,6 +150,6 @@ fn merge_with_empty_is_identity() {
     for u in 0..200u64 {
         other.accumulate(&oracle.randomize(u % 16, &mut rng));
     }
-    empty.merge(other);
+    empty.merge(other).unwrap();
     assert_eq!(empty.estimate(), before);
 }

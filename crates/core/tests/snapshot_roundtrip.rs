@@ -53,9 +53,9 @@ where
     // merge(restore(snapshot(a)), b) == merge(a, b), down to the bits of
     // both the state BLOB and every estimate.
     let mut via_bytes = restored;
-    via_bytes.merge(b.clone());
+    via_bytes.merge(b.clone()).unwrap();
     let mut in_process = a;
-    in_process.merge(b);
+    in_process.merge(b).unwrap();
     assert_eq!(
         snapshot_vec(&via_bytes),
         snapshot_vec(&in_process),

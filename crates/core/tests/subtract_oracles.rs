@@ -47,7 +47,7 @@ where
     let a = build(&reports[..cut]);
     let b = build(&reports[cut..]);
     let mut merged = build(&reports[..cut]);
-    merged.merge(build(&reports[cut..]));
+    merged.merge(build(&reports[cut..])).unwrap();
 
     merged
         .try_subtract(&b)

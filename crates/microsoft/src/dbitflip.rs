@@ -38,6 +38,7 @@
 
 use ldp_core::estimate::debias_count;
 use ldp_core::fo::batch::GeometricSkip;
+use ldp_core::fo::counters::{self, CounterState};
 use ldp_core::fo::{FoAggregator, FrequencyOracle};
 use ldp_core::{Epsilon, Error, Result};
 use rand::{Rng, RngCore};
@@ -237,11 +238,11 @@ impl FrequencyOracle for DBitFlip {
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
         R: RngCore,
-        F: FnMut(DBitReport),
+        F: FnMut(&DBitReport),
     {
         for &v in values {
             assert!(v < self.k as u64, "bucket {v} out of range {}", self.k);
-            sink(DBitFlip::randomize(self, v as u32, rng));
+            sink(&DBitFlip::randomize(self, v as u32, rng));
         }
     }
 
@@ -358,54 +359,6 @@ impl DBitAggregator {
             && self.p == mech.keep_prob()
     }
 
-    /// Merges another aggregator's counters into this one. Exact
-    /// (integer addition), so sharded collection is bit-identical to
-    /// sequential.
-    ///
-    /// # Panics
-    /// Panics if the two aggregators disagree on bucket count or channel.
-    pub fn merge(&mut self, other: Self) {
-        assert!(
-            self.ones.len() == other.ones.len() && self.d == other.d && self.p == other.p,
-            "merge: mechanism mismatch"
-        );
-        for (a, b) in self.ones.iter_mut().zip(&other.ones) {
-            *a += b;
-        }
-        for (a, b) in self.covered.iter_mut().zip(&other.covered) {
-            *a += b;
-        }
-        self.n += other.n;
-    }
-
-    /// Subtracts another aggregator's counters from this one — the exact
-    /// inverse of [`merge`](Self::merge) for retiring a window delta
-    /// from a running total. All-or-nothing: both counter vectors are
-    /// underflow-checked before either moves.
-    ///
-    /// # Errors
-    /// [`ldp_core::LdpError::StateMismatch`] if the mechanisms differ or
-    /// `other` is not a sub-aggregate of this state.
-    pub fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        if self.ones.len() != other.ones.len() || self.d != other.d || self.p != other.p {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: dBitFlip mechanism mismatch".into(),
-            ));
-        }
-        if self.n < other.n
-            || !ldp_core::fo::counts_fit(&self.ones, &other.ones)
-            || !ldp_core::fo::counts_fit(&self.covered, &other.covered)
-        {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: dBitFlip subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        ldp_core::fo::subtract_counts(&mut self.ones, &other.ones);
-        ldp_core::fo::subtract_counts(&mut self.covered, &other.covered);
-        self.n -= other.n;
-        Ok(())
-    }
-
     /// Devices accumulated.
     pub fn reports(&self) -> usize {
         self.n
@@ -429,31 +382,16 @@ impl DBitAggregator {
     }
 }
 
-impl ldp_core::snapshot::StateSnapshot for DBitAggregator {
-    fn state_tag(&self) -> u8 {
-        ldp_core::snapshot::state_tag::MS_DBIT
-    }
+impl CounterState for DBitAggregator {
+    const STATE_TAG: u8 = ldp_core::snapshot::state_tag::MS_DBIT;
+    const NAME: &'static str = "dBitFlip";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         ldp_core::wire::put_uvarint(out, u64::from(self.d));
         ldp_core::wire::put_f64_le(out, self.p);
-        ldp_core::snapshot::put_count(out, self.n);
-        ldp_core::snapshot::put_counts(out, &self.ones);
-        ldp_core::snapshot::put_counts(out, &self.covered);
     }
 
-    fn restore_payload(&mut self, r: &mut ldp_core::wire::WireReader<'_>) -> ldp_core::Result<()> {
-        ldp_core::snapshot::check_u64(r, u64::from(self.d), "dBitFlip bits per device")?;
-        ldp_core::snapshot::check_f64(r, self.p, "dBitFlip keep probability")?;
-        let n = ldp_core::snapshot::get_count(r)?;
-        let ones = ldp_core::snapshot::get_counts(r, self.ones.len(), "dBitFlip bucket counts")?;
-        let covered =
-            ldp_core::snapshot::get_counts(r, self.covered.len(), "dBitFlip coverage counts")?;
-        self.n = n;
-        self.ones = ones;
-        self.covered = covered;
-        Ok(())
-    }
+    ldp_core::counter_fields!(Count n, Plane ones, Plane covered);
 }
 
 impl FoAggregator for DBitAggregator {
@@ -498,12 +436,12 @@ impl FoAggregator for DBitAggregator {
         DBitAggregator::estimate(self)
     }
 
-    fn merge(&mut self, other: Self) {
-        DBitAggregator::merge(self, other);
+    fn merge(&mut self, other: Self) -> Result<()> {
+        counters::merge(self, &other)
     }
 
-    fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        DBitAggregator::try_subtract(self, other)
+    fn try_subtract(&mut self, other: &Self) -> Result<()> {
+        counters::subtract(self, other)
     }
 }
 
@@ -692,7 +630,7 @@ mod tests {
             }
         }
 
-        a.merge(b);
+        a.merge(b).unwrap();
         assert_eq!(a.ones, seq.ones);
         assert_eq!(a.covered, seq.covered);
         assert_eq!(a.reports(), seq.reports());

@@ -9,6 +9,7 @@
 //! worst-case standard deviation `max·√(e^ε+1)²/… /√n` — the
 //! `O(max/(ε√n))` the paper quotes for millions of devices.
 
+use ldp_core::fo::counters::{self, CounterState};
 use ldp_core::fo::FoAggregator;
 use ldp_core::mech::BatchMechanism;
 use ldp_core::{Epsilon, Error, Result};
@@ -114,7 +115,7 @@ impl OneBitMean {
 #[derive(Debug, Clone)]
 pub struct OneBitMeanAggregator {
     mechanism: OneBitMean,
-    ones: u64,
+    ones: usize,
     n: usize,
 }
 
@@ -126,7 +127,7 @@ impl OneBitMeanAggregator {
 
     /// Number of 1-bits observed.
     pub fn ones(&self) -> u64 {
-        self.ones
+        self.ones as u64
     }
 
     /// The 1BitMean debias applied to an arbitrary underlying 1-rate:
@@ -153,34 +154,23 @@ impl OneBitMeanAggregator {
     }
 }
 
-impl ldp_core::snapshot::StateSnapshot for OneBitMeanAggregator {
-    fn state_tag(&self) -> u8 {
-        ldp_core::snapshot::state_tag::MS_ONE_BIT_MEAN
-    }
+impl CounterState for OneBitMeanAggregator {
+    const STATE_TAG: u8 = ldp_core::snapshot::state_tag::MS_ONE_BIT_MEAN;
+    const NAME: &'static str = "1BitMean";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         ldp_core::wire::put_f64_le(out, self.mechanism.epsilon.value());
         ldp_core::wire::put_f64_le(out, self.mechanism.max_value);
-        ldp_core::snapshot::put_count(out, self.n);
-        ldp_core::wire::put_uvarint(out, self.ones);
     }
 
-    fn restore_payload(&mut self, r: &mut ldp_core::wire::WireReader<'_>) -> ldp_core::Result<()> {
-        ldp_core::snapshot::check_f64(r, self.mechanism.epsilon.value(), "1BitMean epsilon")?;
-        ldp_core::snapshot::check_f64(r, self.mechanism.max_value, "1BitMean max value")?;
-        let n = ldp_core::snapshot::get_count(r)?;
-        let ones = r.uvarint()?;
-        self.n = n;
-        self.ones = ones;
-        Ok(())
-    }
+    ldp_core::counter_fields!(Count n, Count ones);
 }
 
 impl FoAggregator for OneBitMeanAggregator {
     type Report = bool;
 
     fn accumulate(&mut self, report: &bool) {
-        self.ones += u64::from(*report);
+        self.ones += usize::from(*report);
         self.n += 1;
     }
 
@@ -192,29 +182,12 @@ impl FoAggregator for OneBitMeanAggregator {
         vec![self.mean()]
     }
 
-    fn merge(&mut self, other: Self) {
-        assert!(
-            self.mechanism == other.mechanism,
-            "merge: mechanism mismatch"
-        );
-        self.ones += other.ones;
-        self.n += other.n;
+    fn merge(&mut self, other: Self) -> Result<()> {
+        counters::merge(self, &other)
     }
 
-    fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        if self.mechanism != other.mechanism {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: 1BitMean mechanism mismatch".into(),
-            ));
-        }
-        if self.n < other.n || self.ones < other.ones {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: 1BitMean subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        self.ones -= other.ones;
-        self.n -= other.n;
-        Ok(())
+    fn try_subtract(&mut self, other: &Self) -> Result<()> {
+        counters::subtract(self, other)
     }
 }
 
@@ -242,7 +215,7 @@ impl BatchMechanism for OneBitMean {
         assert!(agg.mechanism == *self, "aggregator mechanism mismatch");
         for &x in inputs {
             let bit = self.randomize(x, rng);
-            agg.ones += u64::from(bit);
+            agg.ones += usize::from(bit);
             agg.n += 1;
         }
     }
@@ -354,7 +327,7 @@ mod tests {
         m.accumulate_batch(&values[..1000], &mut rng, &mut a);
         let mut b = m.new_aggregator();
         m.accumulate_batch(&values[1000..], &mut rng, &mut b);
-        a.merge(b);
+        a.merge(b).unwrap();
         assert_eq!(a.ones(), scalar.ones());
         assert_eq!(a.reports(), scalar.reports());
     }

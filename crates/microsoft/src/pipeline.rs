@@ -11,6 +11,7 @@ use crate::dbitflip::{DBitAggregator, DBitFlip};
 use crate::memoization::{MemoizedMeanClient, RoundingConfig};
 use crate::onebit::{OneBitMean, OneBitMeanAggregator};
 use crate::repeated::MemoizedHistogramClient;
+use ldp_core::fo::counters::{self, Op};
 use ldp_core::fo::FoAggregator;
 use ldp_core::mech::BatchMechanism;
 use ldp_core::privacy::PrivacyBudget;
@@ -156,6 +157,20 @@ impl TelemetryAggregator {
     pub fn mean_bits(&self) -> &OneBitMeanAggregator {
         &self.mean
     }
+
+    /// Applies `op` to both halves; a refusal from the histogram undoes
+    /// the mean half, so the round stays all-or-nothing.
+    fn apply(&mut self, other: &Self, op: Op) -> Result<()> {
+        if self.gamma.to_bits() != other.gamma.to_bits() {
+            return Err(ldp_core::LdpError::StateMismatch(
+                "telemetry gamma mismatch".into(),
+            ));
+        }
+        counters::apply(&mut self.mean, &other.mean, op)?;
+        counters::apply(&mut self.hist, &other.hist, op).inspect_err(|_| {
+            counters::apply(&mut self.mean, &other.mean, op.inverse()).expect("exact inverse");
+        })
+    }
 }
 
 impl ldp_core::snapshot::StateSnapshot for TelemetryAggregator {
@@ -204,27 +219,12 @@ impl FoAggregator for TelemetryAggregator {
         self.hist.estimate()
     }
 
-    fn merge(&mut self, other: Self) {
-        assert!(self.gamma == other.gamma, "merge: gamma mismatch");
-        self.mean.merge(other.mean);
-        self.hist.merge(other.hist);
+    fn merge(&mut self, other: Self) -> Result<()> {
+        self.apply(&other, Op::Merge)
     }
 
-    fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        if self.gamma != other.gamma {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: telemetry gamma mismatch".into(),
-            ));
-        }
-        // Subtract into clones so a refusal from the second half leaves
-        // the first untouched (mirrors `restore_payload`).
-        let mut mean = self.mean.clone();
-        mean.try_subtract(&other.mean)?;
-        let mut hist = self.hist.clone();
-        hist.try_subtract(&other.hist)?;
-        self.mean = mean;
-        self.hist = hist;
-        Ok(())
+    fn try_subtract(&mut self, other: &Self) -> Result<()> {
+        self.apply(other, Op::Subtract)
     }
 }
 
@@ -325,6 +325,20 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A refusal from the histogram half, after the mean half has
+    /// already moved, undoes the mean half.
+    #[test]
+    fn refusal_from_the_histogram_undoes_the_mean() {
+        let pipeline = TelemetryPipeline::new(config()).unwrap();
+        let mut a = pipeline.new_round_aggregator();
+        a.mean.accumulate(&true);
+        let mut b = a.clone();
+        b.hist.accumulate_bits([(0, true)]);
+        let before = ldp_core::snapshot::snapshot_vec(&a);
+        assert!(a.try_subtract(&b).is_err());
+        assert_eq!(ldp_core::snapshot::snapshot_vec(&a), before);
+    }
 
     fn config() -> TelemetryConfig {
         TelemetryConfig {
@@ -465,7 +479,7 @@ mod tests {
         round.accumulate_batch(&inputs[..700], &mut rng_b, &mut left);
         let mut right = pipeline.new_round_aggregator();
         round.accumulate_batch(&inputs[700..], &mut rng_b, &mut right);
-        left.merge(right);
+        left.merge(right).unwrap();
 
         assert_eq!(left.estimate(), seq.estimate());
         assert_eq!(left.mean_bits().ones(), seq.mean_bits().ones());

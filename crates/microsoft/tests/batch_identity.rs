@@ -13,8 +13,8 @@ use ldp_core::mech::BatchMechanism;
 use ldp_core::Epsilon;
 use ldp_microsoft::{DBitFlip, OneBitMean, TelemetryConfig, TelemetryDevice, TelemetryPipeline};
 use ldp_workloads::parallel::{
-    accumulate_mech_sharded, accumulate_mech_sharded_sequential, accumulate_sharded,
-    accumulate_sharded_sequential, accumulate_sharded_with_workers,
+    accumulate_mech_sharded, accumulate_mech_sharded_sequential,
+    accumulate_mech_sharded_with_workers,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -53,7 +53,7 @@ proptest! {
             let mut batch_agg = FrequencyOracle::new_aggregator(&mech);
             for (i, shard) in shards.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(seed ^ (i as u64) << 32);
-                mech.randomize_batch(shard, &mut rng, |r| batch_agg.accumulate(&r));
+                mech.randomize_batch(shard, &mut rng, |r| batch_agg.accumulate(r));
             }
 
             let mut fused_agg = FrequencyOracle::new_aggregator(&mech);
@@ -103,14 +103,14 @@ proptest! {
         let mech = DBitFlip::new(32, 4, eps(e)).expect("valid params");
         let values = population(3_000, 32);
         for &shards in &[1usize, 3, 16] {
-            let par = accumulate_sharded(&mech, &values, seed, shards).estimate();
-            let seq = accumulate_sharded_sequential(&mech, &values, seed, shards).estimate();
+            let par = accumulate_mech_sharded(&&mech, &values, seed, shards).estimate();
+            let seq = accumulate_mech_sharded_sequential(&&mech, &values, seed, shards).estimate();
             for (i, (a, b)) in par.iter().zip(&seq).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "shards={} item {}", shards, i);
             }
         }
-        let w2 = accumulate_sharded_with_workers(&mech, &values, seed, 8, 3).estimate();
-        let w1 = accumulate_sharded_sequential(&mech, &values, seed, 8).estimate();
+        let w2 = accumulate_mech_sharded_with_workers(&&mech, &values, seed, 8, 3).estimate();
+        let w1 = accumulate_mech_sharded_sequential(&&mech, &values, seed, 8).estimate();
         prop_assert_eq!(w1, w2);
     }
 

@@ -55,9 +55,9 @@ fn check_contract<A: FoAggregator + Clone>(a: A, b: A, mut fresh: A, mut spare: 
     assert_eq!(snapshot_vec(&fresh), blob, "restore is lossless");
 
     let mut via_bytes = fresh;
-    via_bytes.merge(b.clone());
+    via_bytes.merge(b.clone()).unwrap();
     let mut in_process = a;
-    in_process.merge(b);
+    in_process.merge(b).unwrap();
     assert_eq!(snapshot_vec(&via_bytes), snapshot_vec(&in_process));
     assert_eq!(via_bytes.reports(), in_process.reports());
     for (x, y) in via_bytes

@@ -78,7 +78,7 @@ proptest! {
         let mut b = OneBitMean::new_aggregator(&mech);
         mech.accumulate_batch(&values[n_a..], &mut rng, &mut b);
         let mut merged = a.clone();
-        merged.merge(b.clone());
+        merged.merge(b.clone()).unwrap();
 
         merged.try_subtract(&b).expect("b is a sub-aggregate");
         prop_assert_eq!(snapshot_vec(&merged), snapshot_vec(&a));
@@ -120,7 +120,7 @@ proptest! {
         let mut b = round.new_aggregator();
         round.accumulate_batch(&inputs[n_a..], &mut rng, &mut b);
         let mut merged = a.clone();
-        merged.merge(b.clone());
+        merged.merge(b.clone()).unwrap();
 
         merged.try_subtract(&b).expect("b is a sub-aggregate");
         prop_assert_eq!(snapshot_vec(&merged), snapshot_vec(&a));

@@ -18,6 +18,7 @@
 
 use crate::client::RapporReport;
 use crate::params::RapporParams;
+use ldp_core::fo::counters::{self, CounterState};
 use ldp_sketch::linalg::{lasso_sparse, least_squares, Matrix, SparseColMatrix};
 use ldp_sketch::BloomFilter;
 
@@ -38,45 +39,27 @@ pub struct DecodedCandidate {
 #[derive(Debug, Clone)]
 pub struct RapporAggregator {
     params: RapporParams,
-    /// Per-cohort, per-bit 1-counts: `counts[cohort][bit]`.
-    counts: Vec<Vec<u64>>,
+    /// Per-cohort, per-bit 1-counts, cohort-major: bit `j` of cohort
+    /// `i` is `counts[i * k + j]`.
+    counts: Vec<u64>,
     /// Reports per cohort.
     cohort_sizes: Vec<u64>,
 }
 
-impl ldp_core::snapshot::StateSnapshot for RapporAggregator {
-    fn state_tag(&self) -> u8 {
-        ldp_core::snapshot::state_tag::RAPPOR
-    }
+impl CounterState for RapporAggregator {
+    const STATE_TAG: u8 = ldp_core::snapshot::state_tag::RAPPOR;
+    const NAME: &'static str = "RAPPOR";
 
-    fn snapshot_payload(&self, out: &mut Vec<u8>) {
+    fn config_bytes(&self, out: &mut Vec<u8>) {
         ldp_core::wire::put_uvarint(out, self.params.bloom_bits() as u64);
         ldp_core::wire::put_uvarint(out, u64::from(self.params.hashes()));
         ldp_core::wire::put_uvarint(out, u64::from(self.params.cohorts()));
         ldp_core::wire::put_f64_le(out, self.params.f());
         ldp_core::wire::put_f64_le(out, self.params.p());
         ldp_core::wire::put_f64_le(out, self.params.q());
-        ldp_core::snapshot::put_counts(out, &self.cohort_sizes);
-        ldp_core::snapshot::put_counts(out, &self.counts_flat());
     }
 
-    fn restore_payload(&mut self, r: &mut ldp_core::wire::WireReader<'_>) -> ldp_core::Result<()> {
-        let k = self.params.bloom_bits();
-        let m = self.params.cohorts() as usize;
-        ldp_core::snapshot::check_u64(r, k as u64, "RAPPOR bloom bits")?;
-        ldp_core::snapshot::check_u64(r, u64::from(self.params.hashes()), "RAPPOR hash count")?;
-        ldp_core::snapshot::check_u64(r, m as u64, "RAPPOR cohorts")?;
-        ldp_core::snapshot::check_f64(r, self.params.f(), "RAPPOR f")?;
-        ldp_core::snapshot::check_f64(r, self.params.p(), "RAPPOR p")?;
-        ldp_core::snapshot::check_f64(r, self.params.q(), "RAPPOR q")?;
-        let cohort_sizes = ldp_core::snapshot::get_counts(r, m, "RAPPOR cohort sizes")?;
-        let flat = ldp_core::snapshot::get_counts(r, m * k, "RAPPOR bit counts")?;
-        self.cohort_sizes = cohort_sizes;
-        for (row, chunk) in self.counts.iter_mut().zip(flat.chunks_exact(k)) {
-            row.copy_from_slice(chunk);
-        }
-        Ok(())
-    }
+    ldp_core::counter_fields!(Plane cohort_sizes, Plane counts);
 }
 
 impl RapporAggregator {
@@ -86,7 +69,7 @@ impl RapporAggregator {
         let k = params.bloom_bits();
         Self {
             params,
-            counts: vec![vec![0; k]; m],
+            counts: vec![0; m * k],
             cohort_sizes: vec![0; m],
         }
     }
@@ -97,15 +80,7 @@ impl RapporAggregator {
     /// Panics if the report's cohort or width does not match the
     /// aggregator's parameters.
     pub fn accumulate(&mut self, report: &RapporReport) {
-        let cohort = report.cohort as usize;
-        assert!(cohort < self.counts.len(), "cohort {cohort} out of range");
-        assert_eq!(
-            report.bits.len(),
-            self.params.bloom_bits(),
-            "report width mismatch"
-        );
-        report.bits.accumulate_into(&mut self.counts[cohort]);
-        self.cohort_sizes[cohort] += 1;
+        self.accumulate_bits(report.cohort, &report.bits);
     }
 
     /// Folds one report given as a raw `(cohort, bits)` pair — the
@@ -117,13 +92,13 @@ impl RapporAggregator {
     /// Panics if the cohort or width does not match the parameters.
     pub fn accumulate_bits(&mut self, cohort: u32, bits: &ldp_sketch::BitVec) {
         let cohort = cohort as usize;
-        assert!(cohort < self.counts.len(), "cohort {cohort} out of range");
-        assert_eq!(
-            bits.len(),
-            self.params.bloom_bits(),
-            "report width mismatch"
+        assert!(
+            cohort < self.cohort_sizes.len(),
+            "cohort {cohort} out of range"
         );
-        bits.accumulate_into(&mut self.counts[cohort]);
+        let k = self.params.bloom_bits();
+        assert_eq!(bits.len(), k, "report width mismatch");
+        bits.accumulate_into(&mut self.counts[cohort * k..(cohort + 1) * k]);
         self.cohort_sizes[cohort] += 1;
     }
 
@@ -141,50 +116,22 @@ impl RapporAggregator {
     /// reports had been accumulated here. Exact (integer addition), so
     /// sharded or checkpointed collection is bit-identical to sequential.
     ///
-    /// # Panics
-    /// Panics if the two aggregators were built from different parameters.
-    pub fn merge(&mut self, other: Self) {
-        assert!(self.params == other.params, "merge: parameter mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-        for (a, b) in self.cohort_sizes.iter_mut().zip(&other.cohort_sizes) {
-            *a += b;
-        }
+    /// # Errors
+    /// As [`counters::merge`]: a parameter mismatch or a counter
+    /// overflow; `self` is unchanged on error.
+    pub fn merge(&mut self, other: Self) -> ldp_core::Result<()> {
+        counters::merge(self, &other)
     }
 
     /// Subtracts another aggregator's counters from this one — the exact
     /// inverse of [`merge`](Self::merge) for retiring a window delta
-    /// from a running total. All-or-nothing: every cohort row and the
-    /// cohort sizes are underflow-checked before any counter moves.
+    /// from a running total.
     ///
     /// # Errors
-    /// [`ldp_core::LdpError::StateMismatch`] if the parameters differ or
-    /// `other` is not a sub-aggregate of this state.
+    /// As [`counters::subtract`]: a parameter mismatch, or `other` is not
+    /// a sub-aggregate of this state; `self` is unchanged on error.
     pub fn try_subtract(&mut self, other: &Self) -> ldp_core::Result<()> {
-        if self.params != other.params {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: RAPPOR parameter mismatch".into(),
-            ));
-        }
-        let fits = self
-            .counts
-            .iter()
-            .zip(&other.counts)
-            .all(|(a, b)| ldp_core::fo::counts_fit(a, b))
-            && ldp_core::fo::counts_fit(&self.cohort_sizes, &other.cohort_sizes);
-        if !fits {
-            return Err(ldp_core::LdpError::StateMismatch(
-                "subtract: RAPPOR subtrahend is not a sub-aggregate of this state".into(),
-            ));
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            ldp_core::fo::subtract_counts(a, b);
-        }
-        ldp_core::fo::subtract_counts(&mut self.cohort_sizes, &other.cohort_sizes);
-        Ok(())
+        counters::subtract(self, other)
     }
 
     /// The debiased per-cohort, per-bit estimates `t_ij` (step 1 of
@@ -192,7 +139,7 @@ impl RapporAggregator {
     pub fn debiased_bit_counts(&self) -> Vec<Vec<f64>> {
         let (p_star, q_star) = self.params.effective_channel();
         self.counts
-            .iter()
+            .chunks_exact(self.params.bloom_bits())
             .zip(&self.cohort_sizes)
             .map(|(bits, &n)| {
                 bits.iter()
@@ -200,10 +147,6 @@ impl RapporAggregator {
                     .collect()
             })
             .collect()
-    }
-
-    fn counts_flat(&self) -> Vec<u64> {
-        self.counts.iter().flatten().copied().collect()
     }
 
     /// The stacked 0/1 candidate design matrix in sparse column form:

@@ -67,9 +67,9 @@ proptest! {
         prop_assert_eq!(snapshot_vec(&restored), blob.clone());
 
         let mut via_bytes = restored;
-        via_bytes.merge(b.clone());
+        via_bytes.merge(b.clone()).unwrap();
         let mut in_process = a;
-        in_process.merge(b);
+        in_process.merge(b).unwrap();
         prop_assert_eq!(snapshot_vec(&via_bytes), snapshot_vec(&in_process));
         prop_assert_eq!(via_bytes.reports(), in_process.reports());
         for (x, y) in via_bytes

@@ -33,7 +33,7 @@ proptest! {
         let a = filled(&params, n_a, &mut rng);
         let b = filled(&params, n_b, &mut rng);
         let mut merged = a.clone();
-        merged.merge(b.clone());
+        merged.merge(b.clone()).unwrap();
 
         merged.try_subtract(&b).expect("b is a sub-aggregate");
         prop_assert_eq!(snapshot_vec(&merged), snapshot_vec(&a));
@@ -43,7 +43,7 @@ proptest! {
         if n_b > 0 {
             let before = snapshot_vec(&merged);
             let mut oversized = b.clone();
-            oversized.merge(b.clone());
+            oversized.merge(b.clone()).unwrap();
             if merged.reports() < oversized.reports() {
                 prop_assert!(matches!(
                     merged.try_subtract(&oversized),

@@ -56,7 +56,6 @@ pub mod window;
 
 pub use gen::{NumericStream, ZipfGenerator};
 pub use harness::{ExperimentTable, Trials};
-pub use parallel::{accumulate_sharded, accumulate_sharded_sequential, collect_counts_parallel};
 pub use pipeline::{BackpressurePolicy, CollectorPipeline, PipelineConfig, PipelineStats};
 pub use service::{
     workspace_planner, workspace_registry, CollectorService, Plan, Planner, WireClient,

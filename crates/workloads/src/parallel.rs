@@ -13,7 +13,7 @@
 //! seed-derived RNG stream, and shard aggregators are merged in shard
 //! order. The worker count only decides which thread runs which shard, so
 //! the result is bit-identical across machines, core counts, and
-//! schedules — and bit-identical to [`accumulate_sharded_sequential`],
+//! schedules — and bit-identical to [`accumulate_mech_sharded_sequential`],
 //! the single-threaded reference that tests compare against.
 //!
 //! Each shard runs the mechanism's **fused batch path**: reports fold
@@ -24,22 +24,20 @@
 //! once per collection round and live for all of their shards (strided
 //! assignment), so thread-spawn cost is paid `workers` times per round,
 //! not `shards` times; [`recommended_shards`] sizes shards so that spawn
-//! cost stays amortized. [`accumulate_sharded_with_workers`] pins the
+//! cost stays amortized. [`accumulate_mech_sharded_with_workers`] pins the
 //! worker count explicitly — benches use it for honest 1-vs-N scaling
 //! comparisons, and [`planned_workers`] reports the count the automatic
 //! path would use (what the bench JSON records as `threads`).
 //!
-//! The engine is generic over [`BatchMechanism`], not just
-//! [`FrequencyOracle`]: the `accumulate_mech_sharded*` entry points drive
-//! *any* batch-fusable mechanism — `ldp_microsoft::OneBitMean` over
-//! `&[f64]`, a telemetry round over `(device, value)` pairs, and every
-//! frequency oracle through the blanket `&O` adapter (the
-//! `accumulate_sharded*` functions below are thin item-domain wrappers
-//! over the same core). One engine, every mechanism in the workspace —
-//! Apple's CMS/HCMS and Microsoft's dBitFlip ride the oracle wrappers,
-//! 1BitMean and the assembled pipeline ride [`BatchMechanism`] directly.
+//! The engine is generic over [`BatchMechanism`]: the
+//! `accumulate_mech_sharded*` entry points drive *any* batch-fusable
+//! mechanism — `ldp_microsoft::OneBitMean` over `&[f64]`, a telemetry
+//! round over `(device, value)` pairs, and every frequency oracle
+//! (Apple's CMS/HCMS and Microsoft's dBitFlip included) through the
+//! blanket `&O` impl: pass `&oracle` as the mechanism, as in
+//! `accumulate_mech_sharded(&&oracle, &values, seed, shards)`.
 
-use ldp_core::fo::{FoAggregator, FrequencyOracle};
+use ldp_core::fo::FoAggregator;
 use ldp_core::mech::BatchMechanism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,7 +75,7 @@ fn accumulate_shard<M: BatchMechanism>(mech: &M, inputs: &[M::Input], seed: u64)
     agg
 }
 
-/// The worker count [`accumulate_sharded`] uses for a given shard count:
+/// The worker count [`accumulate_mech_sharded`] uses for a given shard count:
 /// one per available core, capped at the shard count. Benches record this
 /// as the `threads` field so the JSON reflects the parallelism actually
 /// exercised, not a constant.
@@ -105,10 +103,14 @@ pub fn recommended_shards(len: usize, workers: usize) -> usize {
 
 /// Merges per-shard aggregators in shard order; order is part of the
 /// determinism contract (floating-point states reassociate otherwise).
+///
+/// Shards of one mechanism instance only fail to merge past `u64::MAX`
+/// reports, so a refusal panics.
 fn merge_in_order<A: FoAggregator>(mut parts: Vec<Option<A>>) -> A {
     let mut acc = parts[0].take().expect("shard 0 aggregator present");
     for p in parts.iter_mut().skip(1) {
-        acc.merge(p.take().expect("shard aggregator present"));
+        acc.merge(p.take().expect("shard aggregator present"))
+            .expect("shards of one mechanism merge");
     }
     acc
 }
@@ -227,88 +229,12 @@ pub fn accumulate_mech_sharded_sequential<M: BatchMechanism>(
     merge_in_order(parts)
 }
 
-/// Splits `values` into `shards` logical shards and runs the full
-/// randomize→accumulate→merge round across `std::thread::scope` workers —
-/// the item-domain ([`FrequencyOracle`]) face of
-/// [`accumulate_mech_sharded`].
-///
-/// Returns the merged aggregator, bit-identical to
-/// [`accumulate_sharded_sequential`] with the same arguments regardless
-/// of core count or scheduling.
-///
-/// # Panics
-/// Panics if `shards == 0` or a worker thread panics.
-pub fn accumulate_sharded<O>(
-    oracle: &O,
-    values: &[u64],
-    base_seed: u64,
-    shards: usize,
-) -> O::Aggregator
-where
-    O: FrequencyOracle + Sync,
-    O::Aggregator: Send,
-{
-    accumulate_mech_sharded(&oracle, values, base_seed, shards)
-}
-
-/// [`accumulate_sharded`] with an explicit worker count. The shard plan —
-/// and therefore the result — is identical for every `workers` value;
-/// only the wall-clock changes. Benches use `workers = 1` vs
-/// `workers = planned_workers(shards)` for honest scaling comparisons.
-///
-/// # Panics
-/// Panics if `shards == 0`, `workers == 0`, or a worker thread panics.
-pub fn accumulate_sharded_with_workers<O>(
-    oracle: &O,
-    values: &[u64],
-    base_seed: u64,
-    shards: usize,
-    workers: usize,
-) -> O::Aggregator
-where
-    O: FrequencyOracle + Sync,
-    O::Aggregator: Send,
-{
-    accumulate_mech_sharded_with_workers(&oracle, values, base_seed, shards, workers)
-}
-
-/// Single-threaded reference for [`accumulate_sharded`]: identical shard
-/// plan, identical per-shard RNG streams, identical merge order — just no
-/// threads. Exists so tests can assert the parallel path is bit-identical,
-/// and as the fallback on single-core hosts.
-///
-/// # Panics
-/// Panics if `shards == 0`.
-pub fn accumulate_sharded_sequential<O: FrequencyOracle>(
-    oracle: &O,
-    values: &[u64],
-    base_seed: u64,
-    shards: usize,
-) -> O::Aggregator {
-    accumulate_mech_sharded_sequential(&oracle, values, base_seed, shards)
-}
-
-/// Parallel counterpart of `ldp_core::fo::collect_counts`: runs a full
-/// sharded collection round and returns the estimated count vector.
-pub fn collect_counts_parallel<O>(
-    oracle: &O,
-    values: &[u64],
-    base_seed: u64,
-    shards: usize,
-) -> Vec<f64>
-where
-    O: FrequencyOracle + Sync,
-    O::Aggregator: Send,
-{
-    accumulate_sharded(oracle, values, base_seed, shards).estimate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ldp_core::fo::{
-        CohortLocalHashing, DirectEncoding, HadamardResponse, OptimizedLocalHashing,
-        OptimizedUnaryEncoding, SubsetSelection, SummationHistogramEncoding,
+        CohortLocalHashing, DirectEncoding, FrequencyOracle, HadamardResponse,
+        OptimizedLocalHashing, OptimizedUnaryEncoding, SubsetSelection, SummationHistogramEncoding,
         ThresholdHistogramEncoding,
     };
     use ldp_core::Epsilon;
@@ -333,8 +259,9 @@ mod tests {
             ($oracle:expr) => {{
                 let oracle = $oracle;
                 for &shards in &[1usize, 3, 8, 64] {
-                    let par = accumulate_sharded(&oracle, &vals, 42, shards).estimate();
-                    let seq = accumulate_sharded_sequential(&oracle, &vals, 42, shards).estimate();
+                    let par = accumulate_mech_sharded(&&oracle, &vals, 42, shards).estimate();
+                    let seq =
+                        accumulate_mech_sharded_sequential(&&oracle, &vals, 42, shards).estimate();
                     assert_eq!(par.len(), seq.len());
                     for (i, (a, b)) in par.iter().zip(&seq).enumerate() {
                         assert_eq!(
@@ -362,10 +289,10 @@ mod tests {
     fn deterministic_across_runs() {
         let oracle = CohortLocalHashing::optimized(64, 256, eps(2.0));
         let vals = values(10_000, 64);
-        let a = collect_counts_parallel(&oracle, &vals, 7, 16);
-        let b = collect_counts_parallel(&oracle, &vals, 7, 16);
+        let a = accumulate_mech_sharded(&&oracle, &vals, 7, 16).estimate();
+        let b = accumulate_mech_sharded(&&oracle, &vals, 7, 16).estimate();
         assert_eq!(a, b);
-        let c = collect_counts_parallel(&oracle, &vals, 8, 16);
+        let c = accumulate_mech_sharded(&&oracle, &vals, 8, 16).estimate();
         assert_ne!(a, c, "different base seed must change the noise draw");
     }
 
@@ -375,7 +302,7 @@ mod tests {
         let n = 30_000usize;
         let oracle = CohortLocalHashing::optimized(d, 512, eps(2.0));
         let vals: Vec<u64> = (0..n).map(|u| (u % 4) as u64).collect();
-        let est = collect_counts_parallel(&oracle, &vals, 99, 32);
+        let est = accumulate_mech_sharded(&&oracle, &vals, 99, 32).estimate();
         let sd = oracle.count_variance(n, 0.25).sqrt();
         for (i, &e) in est.iter().enumerate().take(4) {
             assert!(
@@ -391,9 +318,10 @@ mod tests {
     fn worker_count_does_not_change_results() {
         let oracle = OptimizedUnaryEncoding::new(64, eps(1.0)).expect("domain");
         let vals = values(6_000, 64);
-        let reference = accumulate_sharded_sequential(&oracle, &vals, 13, 12).estimate();
+        let reference = accumulate_mech_sharded_sequential(&&oracle, &vals, 13, 12).estimate();
         for &workers in &[1usize, 2, 3, 8, 32] {
-            let got = accumulate_sharded_with_workers(&oracle, &vals, 13, 12, workers).estimate();
+            let got =
+                accumulate_mech_sharded_with_workers(&&oracle, &vals, 13, 12, workers).estimate();
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -420,15 +348,15 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_panics() {
         let oracle = DirectEncoding::new(8, eps(1.0)).expect("domain");
-        accumulate_sharded_with_workers(&oracle, &[1], 0, 4, 0);
+        accumulate_mech_sharded_with_workers(&&oracle, &[1], 0, 4, 0);
     }
 
     #[test]
     fn empty_and_tiny_populations() {
         let oracle = DirectEncoding::new(8, eps(1.0)).expect("domain");
-        let agg = accumulate_sharded(&oracle, &[], 1, 16);
+        let agg = accumulate_mech_sharded(&&oracle, &[], 1, 16);
         assert_eq!(agg.reports(), 0);
-        let agg = accumulate_sharded(&oracle, &[3], 1, 16);
+        let agg = accumulate_mech_sharded(&&oracle, &[3], 1, 16);
         assert_eq!(agg.reports(), 1);
     }
 
@@ -450,7 +378,7 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         let oracle = DirectEncoding::new(8, eps(1.0)).expect("domain");
-        accumulate_sharded_sequential(&oracle, &[1], 0, 0);
+        accumulate_mech_sharded_sequential(&&oracle, &[1], 0, 0);
     }
 
     /// A minimal non-oracle mechanism over `f64` inputs: each input `x`
@@ -500,9 +428,10 @@ mod tests {
             vec![self.ones as f64]
         }
 
-        fn merge(&mut self, other: Self) {
+        fn merge(&mut self, other: Self) -> ldp_core::Result<()> {
             self.ones += other.ones;
             self.n += other.n;
+            Ok(())
         }
     }
 
@@ -528,8 +457,8 @@ mod tests {
         }
     }
 
-    /// The mech-generic engine honors the same determinism contract as
-    /// the oracle face: parallel == sequential, worker count irrelevant,
+    /// The engine honors the same determinism contract for non-oracle
+    /// mechanisms: parallel == sequential, worker count irrelevant,
     /// over a non-`u64` input type.
     #[test]
     fn mech_engine_parallel_bit_identical_to_sequential() {
@@ -545,16 +474,5 @@ mod tests {
                 assert_eq!(w.ones, seq.ones, "shards={shards} workers={workers}");
             }
         }
-    }
-
-    /// The oracle face is a thin wrapper over the mech core: both entry
-    /// points must produce identical aggregates for identical arguments.
-    #[test]
-    fn oracle_face_matches_mech_core() {
-        let oracle = OptimizedUnaryEncoding::new(32, eps(1.0)).expect("domain");
-        let vals = values(3_000, 32);
-        let via_oracle = accumulate_sharded(&oracle, &vals, 21, 8).estimate();
-        let via_mech = accumulate_mech_sharded(&&oracle, &vals, 21, 8).estimate();
-        assert_eq!(via_oracle, via_mech);
     }
 }

@@ -336,8 +336,9 @@ impl WindowRing {
     /// the bucket predates the watermark.
     ///
     /// # Errors
-    /// [`LdpError::Malformed`] on descriptor mismatch; the retirement
-    /// errors described on [`advance_to`](Self::advance_to).
+    /// [`LdpError::Malformed`] on descriptor mismatch;
+    /// [`LdpError::CounterOverflow`] (a forged delta; neither window nor
+    /// total takes it); the retirement errors of [`advance_to`](Self::advance_to).
     pub fn absorb(&mut self, timestamp: u64, delta: CollectorService) -> Result<bool> {
         if delta.descriptor() != &self.desc {
             return Err(LdpError::Malformed(format!(
@@ -354,9 +355,11 @@ impl WindowRing {
         }
         self.advance_to_bucket(bucket)?;
         let copy = CollectorService::from_checkpoint(&delta.checkpoint())?;
+        // Total first: a window's counters never exceed the total's, so if
+        // the total takes the delta the window cannot refuse it.
+        self.total.merge(copy)?;
         let idx = self.live_index(bucket);
-        self.live[idx].1.merge(copy)?;
-        self.total.merge(delta)?;
+        self.live[idx].1.merge(delta)?;
         self.stats.frames_ingested += reports;
         Ok(true)
     }

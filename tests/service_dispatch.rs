@@ -18,10 +18,13 @@ use ldp::core::fo::{
     SymmetricUnaryEncoding, ThresholdHistogramEncoding,
 };
 use ldp::core::protocol::{MechanismKind, ProtocolDescriptor, DEFAULT_COHORT_SEED_BASE};
-use ldp::core::Epsilon;
+use ldp::core::snapshot::{state_tag, SNAPSHOT_VERSION};
+use ldp::core::wire::{put_f64_le, put_u64_le, put_uvarint};
+use ldp::core::{Epsilon, LdpError};
 use ldp::microsoft::{DBitFlip, OneBitMean};
 use ldp::workloads::parallel::{accumulate_mech_sharded_sequential, shard_seed};
 use ldp::workloads::service::{CollectorService, MergeTree, WireClient};
+use ldp::workloads::window::{WindowConfig, WindowRing};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -503,6 +506,87 @@ fn merge_tree_rejects_degenerate_inputs() {
     assert!(MergeTree::new(1).is_err());
     let tree = MergeTree::new(2).unwrap();
     assert!(tree.merge_to_root(&[]).is_err());
+}
+
+/// A GRR `d = 8` service checkpoint written field by field, with a
+/// chosen report count `n` and first histogram counter. Any `u64` is a
+/// valid varint, so a forged `u64::MAX` restores without complaint.
+fn forged_grr_checkpoint(desc: &ProtocolDescriptor, n: u64, counter0: u64) -> Vec<u8> {
+    let oracle = DirectEncoding::new(8, Epsilon::new(1.0).unwrap()).unwrap();
+    let mut state = Vec::new();
+    put_f64_le(&mut state, oracle.p());
+    put_f64_le(&mut state, oracle.q());
+    put_uvarint(&mut state, n);
+    put_uvarint(&mut state, 8);
+    put_uvarint(&mut state, counter0);
+    state.extend([0u8; 7]);
+    let mut payload = Vec::new();
+    let desc_bytes = desc.to_bytes();
+    put_uvarint(&mut payload, desc_bytes.len() as u64);
+    payload.extend_from_slice(&desc_bytes);
+    put_u64_le(&mut payload, desc.stable_hash());
+    payload.extend([SNAPSHOT_VERSION, state_tag::DIRECT]);
+    put_uvarint(&mut payload, state.len() as u64);
+    payload.extend(state);
+    let mut out = vec![SNAPSHOT_VERSION, state_tag::SERVICE_CHECKPOINT];
+    put_uvarint(&mut out, payload.len() as u64);
+    out.extend(payload);
+    out
+}
+
+/// A hostile checkpoint whose counters sit at `u64::MAX` must not wrap
+/// when a merge tree folds it with honest state: the merge is refused
+/// with a typed error, in debug and release alike, and the receiving
+/// operand keeps its state.
+#[test]
+fn merge_tree_refuses_counters_that_would_wrap() {
+    let desc = base(MechanismKind::DirectEncoding, 8);
+    let empty = CollectorService::from_descriptor(&desc).unwrap();
+    assert_eq!(forged_grr_checkpoint(&desc, 0, 0), empty.checkpoint());
+    let hostile = forged_grr_checkpoint(&desc, u64::MAX, u64::MAX);
+    assert!(CollectorService::from_checkpoint(&hostile).is_ok());
+
+    let client = WireClient::from_descriptor(&desc).unwrap();
+    let mut frame = Vec::new();
+    let mut rng = StdRng::seed_from_u64(SEED);
+    client.randomize_item(0, &mut rng, &mut frame).unwrap();
+    let mut one = CollectorService::from_descriptor(&desc).unwrap();
+    one.ingest(&frame).unwrap();
+    let honest = one.checkpoint();
+
+    let tree = MergeTree::new(2).unwrap();
+    for pair in [
+        [hostile.clone(), honest.clone()],
+        [honest.clone(), hostile.clone()],
+    ] {
+        match tree.merge_to_root(&pair) {
+            Err(LdpError::CounterOverflow(_)) => {}
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(root) => panic!("merged a wrapping state: {} reports", root.reports()),
+        }
+    }
+    for (dst, src) in [(&honest, &hostile), (&hostile, &honest)] {
+        let mut svc = CollectorService::from_checkpoint(dst).unwrap();
+        let res = svc.merge(CollectorService::from_checkpoint(src).unwrap());
+        assert!(matches!(res, Err(LdpError::CounterOverflow(_))));
+        assert_eq!(
+            &svc.checkpoint(),
+            dst,
+            "refused merge leaves state unchanged"
+        );
+    }
+
+    // A window ring absorbing the forged delta into an empty window: the
+    // window alone could take it, the running total cannot, and neither
+    // may move.
+    let mut ring = WindowRing::new(&desc, WindowConfig::new(10, 3)).unwrap();
+    ring.absorb(0, CollectorService::from_checkpoint(&honest).unwrap())
+        .unwrap();
+    ring.advance_to(10).unwrap();
+    let before = ring.checkpoint();
+    let res = ring.absorb(15, CollectorService::from_checkpoint(&hostile).unwrap());
+    assert!(matches!(res, Err(LdpError::CounterOverflow(_))));
+    assert_eq!(ring.checkpoint(), before);
 }
 
 #[test]
