@@ -9,7 +9,7 @@
 //!   matrix (`decode.olh_estimate_speedup`);
 //! * client-side randomize→accumulate: the frozen pre-batch-engine
 //!   scalar path (one Bernoulli draw per bit through `dyn RngCore`, one
-//!   `BitVec` per report) vs the fused geometric-skip batch path
+//!   `BitVec` per report) vs the fused word-parallel batch path
 //!   (`batch_speedup`, sequential on both sides);
 //! * the whole collect loop: legacy scalar collection vs the fused batch
 //!   path fanned out across the parallel engine's actual worker count
@@ -35,6 +35,13 @@
 //! * the durable-snapshot layer: one snapshot→restore cycle of the
 //!   loaded OLH-C aggregator (the C×g count matrix) and its BLOB size
 //!   (`snapshot_roundtrip_ns`, `snapshot_bytes`);
+//! * the unary one-hot channel's two zero-position samplers, recorded in a
+//!   nested `"sampler"` sub-object: ns per `d = 4096` report of words for
+//!   geometric skipping (set bits OR-ed into zeroed words, as the frame
+//!   writer did before the word sampler) and the shipped
+//!   `ldp_core::fo::batch::OneHotSampler` (word-parallel at this `d`) at
+//!   `q ∈ {1/128, 1/64, 1/32, 0.27}`, and `word_speedup_q027`, the ratio
+//!   at OUE's ε = 1 flip rate;
 //! * the **decode kernels**, recorded in a nested `"decode"` sub-object
 //!   so the collect-side and decode-side trajectories stay separable:
 //!   the tiled radix-4 FWHT vs the frozen radix-2 butterfly
@@ -61,6 +68,7 @@ use ldp_bench::legacy::{
     legacy_cms_randomize, legacy_dbitflip_randomize, legacy_hcms_estimate, legacy_rappor_decode,
     legacy_she_randomize_accumulate, legacy_the_randomize, legacy_unary_randomize,
 };
+use ldp_core::fo::batch::{GeometricSkip, OneHotSampler};
 use ldp_core::fo::{
     CohortLocalHashing, FoAggregator, FrequencyOracle, LocalHashing, OptimizedLocalHashing,
     OptimizedUnaryEncoding, SummationHistogramEncoding, ThresholdHistogramEncoding,
@@ -81,7 +89,7 @@ use ldp_workloads::pipeline::{
 use ldp_workloads::service::{CollectorService, WireClient};
 use ldp_workloads::window::{WindowConfig, WindowRing};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 fn bench_aggregate(c: &mut Criterion) {
@@ -312,7 +320,7 @@ fn legacy_collect_oue(
 
 /// Old-vs-new at deployment-ish scale: full-domain OLH estimation
 /// (raw-report rescan vs cohort count matrix), OUE randomize→accumulate
-/// (legacy per-bit scalar vs fused geometric-skip batch), and the whole
+/// (legacy per-bit scalar vs fused word-parallel batch), and the whole
 /// collect loop (legacy scalar vs batch across the parallel engine).
 /// Prints the comparison and records it in `BENCH_aggregate.json`.
 fn bench_old_vs_new(_c: &mut Criterion) {
@@ -374,7 +382,7 @@ fn bench_old_vs_new(_c: &mut Criterion) {
 
     // THE: the old scalar path materialized d Laplace draws per report
     // and thresholded them; the batch path samples the induced Bernoulli
-    // channel with geometric skips — the starkest unary-family win.
+    // channel word-parallel — the starkest unary-family win.
     let the = ThresholdHistogramEncoding::new(d, eps).expect("valid domain");
     let theta = the.theta();
     let scale = 2.0 / eps.value();
@@ -817,6 +825,63 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     });
     let she_randomize_speedup = she_legacy_randomize_ns / she_batched_randomize_ns;
 
+    // --- The unary one-hot channel at d = 4096, per report's words (what
+    // the fused frame writer consumes): geometric skipping with the
+    // one-hot draw first, its set bits OR-ed into zeroed words, vs the
+    // shipped word-parallel `OneHotSampler`, at sparse flip rates and at
+    // OUE's ε = 1 rate.
+    let sampler_d = 4096u64;
+    let sampler_reports = if smoke { 2_000usize } else { 20_000 };
+    let sampler_qs = [
+        ("q1_128", 1.0 / 128.0),
+        ("q1_64", 1.0 / 64.0),
+        ("q1_32", 1.0 / 32.0),
+        ("q027", 0.27),
+    ];
+    let mut sampler_words = vec![0u64; sampler_d.div_ceil(64) as usize];
+    let mut sampler_fields = Vec::new();
+    let mut word_speedup_q027 = 0.0;
+    for (label, q) in sampler_qs {
+        let skip = GeometricSkip::new(q);
+        let chan = OneHotSampler::new(sampler_d, 0.5, q);
+        let geometric_ns = median_ns(rand_reps, || {
+            let mut rng = StdRng::seed_from_u64(7);
+            for r in 0..sampler_reports as u64 {
+                let value = r % sampler_d;
+                sampler_words.fill(0);
+                if rng.gen_bool(0.5) {
+                    sampler_words[(value / 64) as usize] |= 1u64 << (value % 64);
+                }
+                skip.sample_into(sampler_d - 1, &mut rng, |k| {
+                    let i = k + u64::from(k >= value);
+                    sampler_words[(i / 64) as usize] |= 1u64 << (i % 64)
+                });
+                black_box(&sampler_words);
+            }
+        }) / sampler_reports as f64;
+        let word_ns = median_ns(rand_reps, || {
+            let mut rng = StdRng::seed_from_u64(7);
+            for r in 0..sampler_reports as u64 {
+                chan.sample_words(r % sampler_d, &mut rng, |w, bits| sampler_words[w] = bits);
+                black_box(&sampler_words);
+            }
+        }) / sampler_reports as f64;
+        println!(
+            "unary_sampler/d{sampler_d}_{label}: geometric {geometric_ns:.0} ns, words {word_ns:.0} ns per report ({:.2}x)",
+            geometric_ns / word_ns
+        );
+        if label == "q027" {
+            word_speedup_q027 = geometric_ns / word_ns;
+        }
+        sampler_fields.push(format!(
+            "    \"geometric_{label}_ns\": {geometric_ns:.0},\n    \"word_{label}_ns\": {word_ns:.0}"
+        ));
+    }
+    let sampler_json = format!(
+        "{{\n    \"d\": {sampler_d},\n{},\n    \"word_speedup_q027\": {word_speedup_q027:.2}\n  }}",
+        sampler_fields.join(",\n")
+    );
+
     println!(
         "olh_full_domain_estimate/raw_n{n}_d{d}: {:.2} ms",
         raw_estimate_ns / 1e6
@@ -903,7 +968,7 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"aggregate_throughput\",\n  \"mode\": \"{}\",\n  \"n\": {n},\n  \"d\": {d},\n  \"g\": {},\n  \"cohorts\": {cohorts},\n  \"shards\": {shards},\n  \"threads\": {threads},\n  \"oue_scalar_randomize_ns\": {oue_scalar_randomize_ns:.0},\n  \"oue_batch_randomize_ns\": {oue_batch_randomize_ns:.0},\n  \"batch_speedup\": {batch_speedup:.2},\n  \"the_scalar_randomize_ns\": {the_scalar_randomize_ns:.0},\n  \"the_batch_randomize_ns\": {the_batch_randomize_ns:.0},\n  \"the_batch_speedup\": {the_batch_speedup:.2},\n  \"apple_cms_scalar_ns\": {apple_cms_scalar_ns:.0},\n  \"apple_cms_batch_ns\": {apple_cms_batch_ns:.0},\n  \"apple_batch_speedup\": {apple_batch_speedup:.2},\n  \"ms_dbitflip_scalar_ns\": {ms_dbitflip_scalar_ns:.0},\n  \"ms_dbitflip_batch_ns\": {ms_dbitflip_batch_ns:.0},\n  \"microsoft_batch_speedup\": {microsoft_batch_speedup:.2},\n  \"seq_collect_ns\": {seq_collect_ns:.0},\n  \"batch_collect_1w_ns\": {batch_collect_1w_ns:.0},\n  \"par_collect_ns\": {par_collect_ns:.0},\n  \"collect_speedup\": {collect_speedup:.2},\n  \"thread_scaling\": {thread_scaling:.2},\n  \"direct_collect_ns\": {direct_collect_ns:.0},\n  \"wire_collect_ns\": {wire_collect_ns:.0},\n  \"wire_client_frame_ns\": {wire_client_frame_ns:.0},\n  \"wire_overhead\": {wire_overhead:.3},\n  \"wire_e2e_overhead\": {wire_e2e_overhead:.3},\n  \"pipeline_ingest_ns\": {pipeline_ingest_ns:.0},\n  \"pipeline_queue_hwm\": {pipeline_queue_hwm},\n  \"snapshot_roundtrip_ns\": {snapshot_roundtrip_ns:.0},\n  \"snapshot_bytes\": {snapshot_bytes},\n  \"window_advance_ns\": {window_advance_ns:.0},\n  \"window_estimate_ns\": {window_estimate_ns:.0},\n  \"planner\": {{\n    \"plan_ns\": {planner_plan_ns:.0},\n    \"cells\": {planner_cells},\n    \"ranking_agreement\": {planner_agreement:.3}\n  }},\n  \"decode\": {{\n    \"raw_full_estimate_ns\": {raw_estimate_ns:.0},\n    \"cohort_full_estimate_ns\": {cohort_estimate_ns:.0},\n    \"olh_estimate_speedup\": {olh_estimate_speedup:.2},\n    \"fwht_m\": {fwht_m},\n    \"fwht_reference_ns\": {fwht_reference_ns:.0},\n    \"fwht_tiled_ns\": {fwht_tiled_ns:.0},\n    \"fwht_tiled_speedup\": {fwht_tiled_speedup:.2},\n    \"hcms_legacy_decode_ns\": {hcms_legacy_decode_ns:.0},\n    \"hcms_cached_decode_ns\": {hcms_cached_decode_ns:.0},\n    \"hcms_decode_speedup\": {hcms_decode_speedup:.2},\n    \"sfp_exhaustive_decode_ns\": {sfp_exhaustive_decode_ns:.0},\n    \"sfp_candidate_decode_ns\": {sfp_candidate_decode_ns:.0},\n    \"sfp_decode_speedup\": {sfp_decode_speedup:.2},\n    \"rappor_dense_lasso_ns\": {rappor_dense_lasso_ns:.0},\n    \"rappor_sparse_lasso_ns\": {rappor_sparse_lasso_ns:.0},\n    \"rappor_lasso_speedup\": {rappor_lasso_speedup:.2},\n    \"she_legacy_randomize_ns\": {she_legacy_randomize_ns:.0},\n    \"she_batched_randomize_ns\": {she_batched_randomize_ns:.0},\n    \"she_randomize_speedup\": {she_randomize_speedup:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"aggregate_throughput\",\n  \"mode\": \"{}\",\n  \"n\": {n},\n  \"d\": {d},\n  \"g\": {},\n  \"cohorts\": {cohorts},\n  \"shards\": {shards},\n  \"threads\": {threads},\n  \"oue_scalar_randomize_ns\": {oue_scalar_randomize_ns:.0},\n  \"oue_batch_randomize_ns\": {oue_batch_randomize_ns:.0},\n  \"batch_speedup\": {batch_speedup:.2},\n  \"the_scalar_randomize_ns\": {the_scalar_randomize_ns:.0},\n  \"the_batch_randomize_ns\": {the_batch_randomize_ns:.0},\n  \"the_batch_speedup\": {the_batch_speedup:.2},\n  \"apple_cms_scalar_ns\": {apple_cms_scalar_ns:.0},\n  \"apple_cms_batch_ns\": {apple_cms_batch_ns:.0},\n  \"apple_batch_speedup\": {apple_batch_speedup:.2},\n  \"ms_dbitflip_scalar_ns\": {ms_dbitflip_scalar_ns:.0},\n  \"ms_dbitflip_batch_ns\": {ms_dbitflip_batch_ns:.0},\n  \"microsoft_batch_speedup\": {microsoft_batch_speedup:.2},\n  \"seq_collect_ns\": {seq_collect_ns:.0},\n  \"batch_collect_1w_ns\": {batch_collect_1w_ns:.0},\n  \"par_collect_ns\": {par_collect_ns:.0},\n  \"collect_speedup\": {collect_speedup:.2},\n  \"thread_scaling\": {thread_scaling:.2},\n  \"direct_collect_ns\": {direct_collect_ns:.0},\n  \"wire_collect_ns\": {wire_collect_ns:.0},\n  \"wire_client_frame_ns\": {wire_client_frame_ns:.0},\n  \"wire_overhead\": {wire_overhead:.3},\n  \"wire_e2e_overhead\": {wire_e2e_overhead:.3},\n  \"pipeline_ingest_ns\": {pipeline_ingest_ns:.0},\n  \"pipeline_queue_hwm\": {pipeline_queue_hwm},\n  \"snapshot_roundtrip_ns\": {snapshot_roundtrip_ns:.0},\n  \"snapshot_bytes\": {snapshot_bytes},\n  \"window_advance_ns\": {window_advance_ns:.0},\n  \"window_estimate_ns\": {window_estimate_ns:.0},\n  \"planner\": {{\n    \"plan_ns\": {planner_plan_ns:.0},\n    \"cells\": {planner_cells},\n    \"ranking_agreement\": {planner_agreement:.3}\n  }},\n  \"sampler\": {sampler_json},\n  \"decode\": {{\n    \"raw_full_estimate_ns\": {raw_estimate_ns:.0},\n    \"cohort_full_estimate_ns\": {cohort_estimate_ns:.0},\n    \"olh_estimate_speedup\": {olh_estimate_speedup:.2},\n    \"fwht_m\": {fwht_m},\n    \"fwht_reference_ns\": {fwht_reference_ns:.0},\n    \"fwht_tiled_ns\": {fwht_tiled_ns:.0},\n    \"fwht_tiled_speedup\": {fwht_tiled_speedup:.2},\n    \"hcms_legacy_decode_ns\": {hcms_legacy_decode_ns:.0},\n    \"hcms_cached_decode_ns\": {hcms_cached_decode_ns:.0},\n    \"hcms_decode_speedup\": {hcms_decode_speedup:.2},\n    \"sfp_exhaustive_decode_ns\": {sfp_exhaustive_decode_ns:.0},\n    \"sfp_candidate_decode_ns\": {sfp_candidate_decode_ns:.0},\n    \"sfp_decode_speedup\": {sfp_decode_speedup:.2},\n    \"rappor_dense_lasso_ns\": {rappor_dense_lasso_ns:.0},\n    \"rappor_sparse_lasso_ns\": {rappor_sparse_lasso_ns:.0},\n    \"rappor_lasso_speedup\": {rappor_lasso_speedup:.2},\n    \"she_legacy_randomize_ns\": {she_legacy_randomize_ns:.0},\n    \"she_batched_randomize_ns\": {she_batched_randomize_ns:.0},\n    \"she_randomize_speedup\": {she_randomize_speedup:.2}\n  }}\n}}\n",
         if smoke { "smoke" } else { "full" },
         cohort_oracle.g(),
     );

@@ -3,8 +3,8 @@
 //!
 //! The `client_encode_batch` group is the scalar-vs-batch comparison:
 //! for the unary family it pits the frozen pre-batch-engine per-bit
-//! randomizer (`legacy`) against today's scalar path (geometric-skip
-//! sampling through `dyn RngCore`) and the fused batch path
+//! randomizer (`legacy`) against today's scalar path (word-parallel or
+//! geometric-skip sampling through `dyn RngCore`) and the fused batch path
 //! (monomorphized draws, reports folded straight into the aggregator,
 //! zero per-report allocation). The industrial mechanisms get the same
 //! treatment: Apple CMS (legacy per-coordinate scalar vs reusable

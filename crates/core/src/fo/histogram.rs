@@ -19,9 +19,11 @@
 //! carries the threshold indicators, THE's output distribution is exactly
 //! "bit `i` set with probability `p` (one-hot position) or `q` (others)".
 //! The implementation therefore samples the induced Bernoulli channel
-//! directly with geometric skipping ([`crate::fo::batch`]) — `2 + (d−1)·q`
-//! expected uniform draws per report instead of `d` Laplace draws — and
-//! never materializes the continuous noise it marginalizes out.
+//! directly through the unary family's sampler ([`crate::fo::batch`]) —
+//! `q = ½e^{−εθ/2}` is at least 0.30 at ε = 1, so from `d = 64` on it
+//! compares 64 positions per RNG word (~7.3 uniform draws per 64 bits
+//! instead of 64 Laplace draws) — and never materializes the continuous
+//! noise it marginalizes out.
 
 use super::counters::{self, CounterState};
 use super::{batch, FoAggregator, FrequencyOracle, SetBitSampler};
@@ -30,7 +32,7 @@ use crate::noise::fill_laplace;
 use crate::privacy::Epsilon;
 use crate::{Error, Result};
 use ldp_sketch::BitVec;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// Summation with histogram encoding: report a one-hot vector plus
 /// per-coordinate `Lap(2/ε)` noise.
@@ -257,17 +259,14 @@ impl FoAggregator for SheAggregator {
 ///
 /// Implemented by sampling the induced `(p, q)` Bernoulli channel
 /// directly (the thresholded-Laplace construction marginalizes to exactly
-/// that), with geometric-skip sampling of the set bits.
-#[derive(Debug, Clone, Copy)]
+/// that) through the unary family's [`batch::OneHotSampler`].
+#[derive(Debug, Clone)]
 pub struct ThresholdHistogramEncoding {
-    d: u64,
     epsilon: Epsilon,
     theta: f64,
-    p: f64,
-    q: f64,
-    /// Geometric-skip sampler for the zero-position rate `q`,
-    /// precomputed once per oracle (CDF boundary table).
-    skip: batch::GeometricSkip,
+    /// The induced one-hot channel, its zero-position sampler picked
+    /// from `d` once per oracle.
+    chan: batch::OneHotSampler,
 }
 
 impl ThresholdHistogramEncoding {
@@ -298,12 +297,9 @@ impl ThresholdHistogramEncoding {
         }
         let (p, q) = Self::channel(epsilon, theta);
         Ok(Self {
-            d,
             epsilon,
             theta,
-            p,
-            q,
-            skip: batch::GeometricSkip::new(q),
+            chan: batch::OneHotSampler::new(d, p, q),
         })
     }
 
@@ -356,39 +352,18 @@ impl ThresholdHistogramEncoding {
 
     /// The induced `(p, q)` channel.
     pub fn probabilities(&self) -> (f64, f64) {
-        (self.p, self.q)
-    }
-
-    fn randomize_impl<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> BitVec {
-        let mut bits = BitVec::zeros(self.d as usize);
-        self.sample_ones(value, rng, |i| bits.set(i, true));
-        bits
+        self.chan.probabilities()
     }
 }
 
-/// One Bernoulli(`p`) draw for the one-hot position, geometric-skip
-/// sampling at rate `q` for the rest. Shared by the scalar and fused
-/// batch paths, so both consume identical RNG streams.
 impl SetBitSampler for ThresholdHistogramEncoding {
-    #[inline]
-    fn sample_ones<R: RngCore + ?Sized>(
+    fn sample_words<R: RngCore + ?Sized>(
         &self,
         value: u64,
         rng: &mut R,
-        mut on_one: impl FnMut(usize),
+        on_word: impl FnMut(usize, u64),
     ) {
-        assert!(
-            value < self.d,
-            "value {value} outside domain of size {}",
-            self.d
-        );
-        if rng.gen_bool(self.p) {
-            on_one(value as usize);
-        }
-        self.skip.sample_into(self.d - 1, rng, |k| {
-            let pos = k + u64::from(k >= value);
-            on_one(pos as usize);
-        });
+        self.chan.sample_words(value, rng, on_word);
     }
 }
 
@@ -401,7 +376,7 @@ impl FrequencyOracle for ThresholdHistogramEncoding {
     }
 
     fn domain_size(&self) -> u64 {
-        self.d
+        self.chan.domain_size()
     }
 
     fn epsilon(&self) -> Epsilon {
@@ -409,59 +384,52 @@ impl FrequencyOracle for ThresholdHistogramEncoding {
     }
 
     fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> BitVec {
-        self.randomize_impl(value, rng)
+        self.chan.randomize(value, rng)
     }
 
-    /// Reusable-buffer batch path: one `BitVec` cleared and re-filled per
-    /// report; same RNG stream — and hence same bits — as `randomize`.
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
+    /// Reusable-buffer batch path: one `BitVec` overwritten word by word
+    /// per report; same RNG stream — and hence same bits — as `randomize`.
+    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, sink: F)
     where
         R: RngCore,
         F: FnMut(&BitVec),
     {
-        let mut bits = BitVec::zeros(self.d as usize);
-        for &v in values {
-            bits.clear();
-            self.sample_ones(v, rng, |i| bits.set(i, true));
-            sink(&bits);
-        }
+        self.chan.randomize_batch(values, rng, sink);
     }
 
-    /// Fused batch path: geometric-skip-sampled set bits go straight into
-    /// the aggregator's per-position counters, no `BitVec` materialized.
+    /// Fused batch path: sampled set bits go straight into the
+    /// aggregator's per-position counters, no `BitVec` materialized.
     fn randomize_accumulate_batch<R: RngCore>(
         &self,
         values: &[u64],
         rng: &mut R,
         agg: &mut TheAggregator,
     ) {
-        assert_eq!(agg.ones.len(), self.d as usize, "aggregator width mismatch");
         assert!(
-            agg.p == self.p && agg.q == self.q,
+            (agg.p, agg.q) == self.probabilities(),
             "aggregator channel mismatch"
         );
-        for &v in values {
-            let ones = &mut agg.ones;
-            self.sample_ones(v, rng, |i| ones[i] += 1);
-            agg.n += 1;
-        }
+        self.chan.accumulate(values, rng, &mut agg.ones);
+        agg.n += values.len();
     }
 
     fn new_aggregator(&self) -> TheAggregator {
+        let (p, q) = self.probabilities();
         TheAggregator {
-            ones: vec![0; self.d as usize],
+            ones: vec![0; self.domain_size() as usize],
             n: 0,
-            p: self.p,
-            q: self.q,
+            p,
+            q,
         }
     }
 
     fn count_variance(&self, n: usize, f: f64) -> f64 {
-        debiased_count_variance(n, f * n as f64, self.p, self.q)
+        let (p, q) = self.probabilities();
+        debiased_count_variance(n, f * n as f64, p, q)
     }
 
     fn report_bits(&self) -> usize {
-        self.d as usize
+        self.domain_size() as usize
     }
 }
 

@@ -10,10 +10,10 @@
 //! | Mechanism | Module | Descriptor kind ([`crate::protocol::MechanismKind`]) | Report size | `Var*/n` (noise floor, counts) | Randomize cost (uniform draws / user) | Aggregation: memory, full `estimate()` | Snapshot BLOB ([`crate::snapshot`]) |
 //! |---|---|---|---|---|---|---|---|
 //! | Direct encoding (GRR) | [`direct`] | `DirectEncoding` | `log d` bits | `(d−2+e^ε)/(e^ε−1)²` | `≤ 2` | `O(d)`, `O(d)` | `O(d)` varints |
-//! | Symmetric unary (SUE, basic RAPPOR) | [`unary`] | `SymmetricUnary` | `d` bits | `e^{ε/2}/(e^{ε/2}−1)²` | `2 + d·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
-//! | Optimized unary (OUE) | [`unary`] | `OptimizedUnary` | `d` bits | `4e^ε/(e^ε−1)²` | `2 + d·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
+//! | Symmetric unary (SUE, basic RAPPOR) | [`unary`] | `SymmetricUnary` | `d` bits | `e^{ε/2}/(e^{ε/2}−1)²` | `1 + ≈7.3·⌈d/64⌉` (word-parallel) if `d ≥ 64`; else `2 + (d−1)·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
+//! | Optimized unary (OUE) | [`unary`] | `OptimizedUnary` | `d` bits | `4e^ε/(e^ε−1)²` | `1 + ≈7.3·⌈d/64⌉` (word-parallel) if `d ≥ 64`; else `2 + (d−1)·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
 //! | Summation histogram (SHE) | [`histogram`] | `SummationHistogram` | `d` floats | `8/ε²` | `d` (one batched Laplace block) | `O(d)`, `O(d)` | `8d` B (exact `f64` bits) |
-//! | Threshold histogram (THE) | [`histogram`] | `ThresholdHistogram` | `d` bits | optimized numerically | `2 + d·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
+//! | Threshold histogram (THE) | [`histogram`] | `ThresholdHistogram` | `d` bits | optimized numerically | as SUE/OUE (word-parallel from `d = 64`) | `O(d)`, `O(d)` | `O(d)` varints |
 //! | Binary local hashing (BLH) | [`hashing`] | `BinaryLocalHashing` (registry steers to OLH-C) | 64+1 bits | `(e^ε+1)²/(e^ε−1)²` | `≤ 3` | `O(n)`, `O(n·d)` | `≈ 9n` B (report list) |
 //! | Optimized local hashing (OLH) | [`hashing`] | `OptimizedLocalHashing` (registry steers to OLH-C) | 64+log g bits | `4e^ε/(e^ε−1)²` | `≤ 3` | `O(n)`, `O(n·d)` | `≈ 9n` B (report list) |
 //! | Cohort local hashing (OLH-C) | [`hashing`] | `CohortLocalHashing` | log C + log g bits | `4e^ε/(e^ε−1)²` + collision term | `≤ 3` | `O(C·g)`, `O(C·d)` | `O(C·g)` varints |
@@ -33,14 +33,17 @@
 //!
 //! The randomization-cost column counts uniform RNG draws per report on
 //! the batch path. The unary family (`d` bits, one independent Bernoulli
-//! per position) pays `2 + d·q` expected draws instead of `d` thanks to
-//! geometric-skip sampling of the set bits ([`batch`]); SHE is the one
+//! per position) never pays `d` draws ([`batch`]): reports of at least
+//! one full word (`d ≥ 64`) compare 64 positions per RNG word, settling
+//! a word in ~7.3 draws whatever `q` is, and shorter ones skip
+//! geometrically from one set bit to the next, `2 + (d−1)·q` draws in
+//! all. The sampler is fixed per oracle from `d`; SHE is the one
 //! mechanism that inherently needs a continuous noise draw per
 //! coordinate, so it draws the whole report's uniforms as one block and
 //! maps them through a branchless inverse-CDF transform
 //! ([`crate::noise::fill_laplace`]) instead of `d` libm `ln` calls.
 //! The last four rows are the industrial deployments in `ldp-apple` and
-//! `ldp-microsoft`: they share the same geometric-skip sampler and are
+//! `ldp-microsoft`: they use the same geometric-skip sampler and are
 //! wired into the same batch engine through [`crate::mech::BatchMechanism`]
 //! (CMS flips its `m`-long sign vector at rate `q = 1/(e^{ε/2}+1)` so a
 //! fused report costs `O(m·q)` sketch updates, not `O(m)`; dBitFlip
@@ -162,8 +165,8 @@ pub trait FrequencyOracle {
     ///
     /// This is the hot path of sharded collection
     /// (`ldp_workloads::parallel`): unary-family overrides skip the
-    /// per-report `BitVec` entirely and add geometric-skip-sampled set
-    /// bits directly into the aggregator's `u64` column counters. The
+    /// per-report `BitVec` entirely and add the sampled set bits directly
+    /// into the aggregator's `u64` column counters. The
     /// resulting aggregator state is bit-identical to running the scalar
     /// `randomize` + [`FoAggregator::accumulate`] loop with the same RNG
     /// seed — same draws, same integer counters.
@@ -204,27 +207,33 @@ pub trait FrequencyOracle {
 }
 
 /// The unary report family (SUE, OUE, THE): oracles whose report is a
-/// perturbed `d`-bit one-hot vector, exposing the underlying set-bit
-/// sampler directly.
+/// perturbed `d`-bit one-hot vector, exposing the underlying sampler
+/// ([`batch::OneHotSampler`]) directly.
 ///
 /// This is the hook behind the wire layer's fused sampler→frame writer:
-/// a consumer that only needs the *positions* of the set bits (packing
-/// them into an outgoing frame buffer, bumping counters) can take them
-/// straight from the geometric-skip sampler without materializing a
-/// [`ldp_sketch::BitVec`] per report.
+/// a consumer that only needs the report's bits (packing them into an
+/// outgoing frame buffer, bumping counters) can take them straight from
+/// the sampler without materializing a [`ldp_sketch::BitVec`] per report.
 ///
-/// Contract: for a given `value` and RNG state, `sample_ones` must make
-/// exactly the draws [`FrequencyOracle::randomize`] makes and visit
-/// exactly the positions the returned report would have set, in the same
-/// order — the RNG-stream identity that keeps every consumer of this
-/// sampler bit-identical to the report path.
+/// Contract: for a given `value` and RNG state, `sample_words` makes
+/// exactly the draws [`FrequencyOracle::randomize`] makes and emits the
+/// returned report's words — every word `w ∈ [0, ⌈d/64⌉)` exactly once,
+/// in index order, bit `j` of word `w` being position `64·w + j`, and
+/// every bit at index `d` or above in the last word 0. That RNG-stream
+/// identity keeps every consumer of this sampler bit-identical to the
+/// report path.
 pub trait SetBitSampler: FrequencyOracle<Report = ldp_sketch::BitVec> {
-    /// Samples the set-bit positions of one report, invoking `on_one`
-    /// for each.
+    /// Samples one report as whole 64-bit words, invoking
+    /// `on_word(w, bits)` for each in index order.
     ///
     /// # Panics
     /// Panics if `value >= domain_size()`.
-    fn sample_ones<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R, on_one: impl FnMut(usize));
+    fn sample_words<R: RngCore + ?Sized>(
+        &self,
+        value: u64,
+        rng: &mut R,
+        on_word: impl FnMut(usize, u64),
+    );
 }
 
 /// Server-side accumulation and estimation for one [`FrequencyOracle`].

@@ -552,8 +552,8 @@ impl Registry {
             )
         });
         // The unary family rides `FusedUnaryMechanism`, whose
-        // `try_randomize_frames` samples set bits straight into the
-        // outgoing frame buffer (byte-identical to the materializing
+        // `try_randomize_frames` writes sampled payload words straight
+        // into the outgoing frame buffer (byte-identical to the materializing
         // path for a given seed).
         r.register(MechanismKind::SymmetricUnary, |d| {
             erase(

@@ -818,20 +818,20 @@ impl<O: FrequencyOracle> WireMechanism for OracleMechanism<O> {
 }
 
 /// [`OracleMechanism`] for the unary report family, with the fused
-/// sampler→frame writer: [`WireMechanism::try_randomize_frames`] packs
-/// each geometric-skip-sampled set bit **directly into the outgoing
-/// frame buffer** — no [`BitVec`] report is materialized and no
-/// per-report allocation happens on the serializing client path, the
+/// sampler→frame writer: [`WireMechanism::try_randomize_frames`] writes
+/// each sampled payload word **directly into the outgoing frame buffer**
+/// as 8 little-endian bytes — no [`BitVec`] report is materialized and
+/// no per-report allocation happens on the serializing client path, the
 /// wire-side mirror of [`FrequencyOracle::randomize_accumulate_batch`].
 ///
 /// All `d`-bit reports of one oracle share a frame length, so the frame
 /// header (version, tag, payload-length and bit-length varints) is
-/// precomputed once per batch and the payload bytes are zero-filled then
-/// OR-set at the sampled positions — byte-identical to
-/// [`encode_report`] over [`FrequencyOracle::randomize`], because
-/// [`SetBitSampler::sample_ones`] visits exactly the positions the
-/// materialized report would have set while consuming the same RNG
-/// stream.
+/// precomputed once per batch, and the payload is the report's words in
+/// index order (the last one cut to the payload's `⌈d/8⌉` bytes) —
+/// byte-identical to [`encode_report`] over
+/// [`FrequencyOracle::randomize`], because
+/// [`SetBitSampler::sample_words`] emits exactly the materialized
+/// report's words while consuming the same RNG stream.
 #[derive(Debug, Clone)]
 pub struct FusedUnaryMechanism<O>(pub O);
 
@@ -898,37 +898,19 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
         // also fixes the frame length, so the whole batch is sized once.
         let (dbuf, dlen) = uvarint_array(d as u64);
         let (lbuf, llen) = uvarint_array((dlen + nbytes) as u64);
-        let header = 2 + llen + dlen;
-        let frame_len = header + nbytes;
-        // A template block — constant headers, zeroed payloads — copied
-        // ahead of sampling. Copying right before sampling leaves the
-        // payload's cache lines write-hot, so the sampler's bit ORs land
-        // in L1; OR-ing into a long-since-zeroed region (the previous
-        // resize-then-fill scheme) took a read-for-ownership miss per
-        // set bit, and a separate word scratch paid an extra fill + copy
-        // of every payload byte. The block holds 16 frames so one
-        // `memcpy` dispatch (runtime-length copies don't inline) is
-        // amortized over 16 reports while the block still fits L1 at
-        // practical domain sizes.
-        const TEMPLATE_FRAMES: usize = 16;
-        let mut template = Vec::with_capacity(frame_len * TEMPLATE_FRAMES);
-        for _ in 0..TEMPLATE_FRAMES {
-            template.push(WIRE_VERSION);
-            template.push(tag::BITS);
-            template.extend_from_slice(&lbuf[..llen]);
-            template.extend_from_slice(&dbuf[..dlen]);
-            template.resize(template.len() + nbytes, 0);
-        }
-        out.reserve(inputs.len() * frame_len);
-        for group in inputs.chunks(TEMPLATE_FRAMES) {
-            let start = out.len();
-            out.extend_from_slice(&template[..group.len() * frame_len]);
-            let block = &mut out[start..];
-            for (k, &v) in group.iter().enumerate() {
-                let payload = &mut block[k * frame_len + header..(k + 1) * frame_len];
-                self.0
-                    .sample_ones(v, rng, |i| payload[i >> 3] |= 1u8 << (i & 7));
-            }
+        let mut header = vec![WIRE_VERSION, tag::BITS];
+        header.extend_from_slice(&lbuf[..llen]);
+        header.extend_from_slice(&dbuf[..dlen]);
+        // Payload bytes of the last word; the words before it are whole.
+        let last = d.div_ceil(64) - 1;
+        let tail = nbytes - 8 * last;
+        out.reserve(inputs.len() * (header.len() + nbytes));
+        for &v in inputs {
+            out.extend_from_slice(&header);
+            self.0.sample_words(v, rng, |w, bits| {
+                let bytes = bits.to_le_bytes();
+                out.extend_from_slice(if w < last { &bytes } else { &bytes[..tail] });
+            });
         }
         Ok(())
     }
@@ -1664,15 +1646,21 @@ mod tests {
 
     /// The fused sampler→frame writer emits the byte-identical stream
     /// the materialize-then-encode default produces, across payload
-    /// lengths that exercise both 1-byte and 2-byte varints.
+    /// lengths that exercise both 1-byte and 2-byte varints, whole and
+    /// partial last words, both samplers (geometric skipping below
+    /// d = 64, word-parallel from there), and a sparse report (ε = 6).
     #[test]
     fn fused_unary_frames_byte_identical() {
         use crate::fo::OptimizedUnaryEncoding;
-        for d in [8u64, 37, 129, 1024, 1031] {
-            let oue = OptimizedUnaryEncoding::new(d, Epsilon::new(0.7).unwrap()).unwrap();
+        let configs = [8u64, 37, 64, 65, 129, 1024, 1031, 4096]
+            .map(|d| (d, 0.7))
+            .into_iter()
+            .chain([(4096, 6.0)]);
+        for (d, e) in configs {
+            let oue = OptimizedUnaryEncoding::new(d, Epsilon::new(e).unwrap()).unwrap();
             let values: Vec<u64> = (0..200).map(|i| i % d).collect();
 
-            let fused = FusedUnaryMechanism(oue);
+            let fused = FusedUnaryMechanism(oue.clone());
             let mut fused_out = Vec::new();
             let mut rng = StdRng::seed_from_u64(99);
             fused
@@ -1686,7 +1674,7 @@ mod tests {
                 .try_randomize_frames(&values, &mut rng, &mut default_out)
                 .unwrap();
 
-            assert_eq!(fused_out, default_out, "d={d}");
+            assert_eq!(fused_out, default_out, "d={d} eps={e}");
         }
     }
 

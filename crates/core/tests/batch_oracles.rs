@@ -86,19 +86,19 @@ proptest! {
     }
 
     #[test]
-    fn sue_batch_bit_identical(e in 0.3f64..4.0, d in 2u64..80, seed in 0u64..1000) {
+    fn sue_batch_bit_identical(e in 0.3f64..7.0, d in 2u64..300, seed in 0u64..1000) {
         let oracle = SymmetricUnaryEncoding::new(d, Epsilon::new(e).expect("eps")).expect("domain");
         check_batch_matches_scalar(&oracle, &population(300, d), seed);
     }
 
     #[test]
-    fn oue_batch_bit_identical(e in 0.3f64..4.0, d in 2u64..80, seed in 0u64..1000) {
+    fn oue_batch_bit_identical(e in 0.3f64..7.0, d in 2u64..300, seed in 0u64..1000) {
         let oracle = OptimizedUnaryEncoding::new(d, Epsilon::new(e).expect("eps")).expect("domain");
         check_batch_matches_scalar(&oracle, &population(300, d), seed);
     }
 
     #[test]
-    fn the_batch_bit_identical(e in 0.3f64..4.0, d in 2u64..80, seed in 0u64..1000) {
+    fn the_batch_bit_identical(e in 0.3f64..7.0, d in 2u64..300, seed in 0u64..1000) {
         let oracle = ThresholdHistogramEncoding::new(d, Epsilon::new(e).expect("eps")).expect("domain");
         check_batch_matches_scalar(&oracle, &population(300, d), seed);
     }
@@ -136,38 +136,40 @@ proptest! {
     }
 }
 
-/// Statistical satellite: the geometric-skip unary sampler's per-bit
-/// 1-rates must match the (p, q) channel the debiasing assumes — checked
-/// end-to-end through `randomize_batch` reports rather than the sampler
-/// in isolation (the unit-level marginal/variance tests live in
-/// `ldp_core::fo::batch`).
+/// Statistical satellite: the unary sampler's per-bit 1-rates must
+/// match the (p, q) channel the debiasing assumes — checked end-to-end
+/// through `randomize_batch` reports rather than the sampler in isolation
+/// (the unit-level marginal/variance tests live in `ldp_core::fo::batch`).
+/// d = 32 runs geometric skipping; d = 200 runs the word sampler, with the
+/// hot value once in a middle word and once in the partial last word.
 #[test]
 fn geometric_skip_batch_reports_match_channel() {
-    let d = 32u64;
-    let oracle = OptimizedUnaryEncoding::new(d, Epsilon::new(1.0).expect("eps")).expect("domain");
-    let (p, q) = oracle.probabilities();
-    let n = 40_000usize;
-    let value = 11u64;
-    let values = vec![value; n];
-    let mut rng = StdRng::seed_from_u64(2024);
-    let mut counts = vec![0u64; d as usize];
-    oracle.randomize_batch(&values, &mut rng, |r| {
-        for i in r.ones() {
-            counts[i] += 1;
+    for (d, value) in [(32u64, 11u64), (200, 100), (200, 197)] {
+        let oracle =
+            OptimizedUnaryEncoding::new(d, Epsilon::new(1.0).expect("eps")).expect("domain");
+        let (p, q) = oracle.probabilities();
+        let n = 40_000usize;
+        let values = vec![value; n];
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut counts = vec![0u64; d as usize];
+        oracle.randomize_batch(&values, &mut rng, |r| {
+            for i in r.ones() {
+                counts[i] += 1;
+            }
+        });
+        let sd_p = (p * (1.0 - p) / n as f64).sqrt();
+        let sd_q = (q * (1.0 - q) / n as f64).sqrt();
+        for (i, &c) in counts.iter().enumerate() {
+            let rate = c as f64 / n as f64;
+            let (expected, sd) = if i as u64 == value {
+                (p, sd_p)
+            } else {
+                (q, sd_q)
+            };
+            assert!(
+                (rate - expected).abs() < 5.0 * sd,
+                "d={d} value={value} bit {i}: rate={rate} expected={expected}"
+            );
         }
-    });
-    let sd_p = (p * (1.0 - p) / n as f64).sqrt();
-    let sd_q = (q * (1.0 - q) / n as f64).sqrt();
-    for (i, &c) in counts.iter().enumerate() {
-        let rate = c as f64 / n as f64;
-        let (expected, sd) = if i as u64 == value {
-            (p, sd_p)
-        } else {
-            (q, sd_q)
-        };
-        assert!(
-            (rate - expected).abs() < 5.0 * sd,
-            "bit {i}: rate={rate} expected={expected}"
-        );
     }
 }

@@ -268,6 +268,23 @@ impl BitVec {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// Overwrites word `w` (bits `64·w .. 64·w + 63`) — the word-at-a-time
+    /// writer behind the unary samplers, which emit whole words.
+    ///
+    /// # Panics
+    /// Panics if `w` is past the last word, or if `bits` sets a bit at
+    /// index `len()` or above (trailing bits must stay zero).
+    #[inline]
+    pub fn set_word(&mut self, w: usize, bits: u64) {
+        let width = self.len.saturating_sub(w << 6);
+        assert!(
+            width >= 64 || (width > 0 && bits >> width == 0),
+            "word {w} sets bits past length {}",
+            self.len
+        );
+        self.words[w] = bits;
+    }
 }
 
 /// Position of the `n`-th set bit inside one word (`n < popcount(w)`).
@@ -414,6 +431,22 @@ mod tests {
     fn nth_zero_out_of_range_panics() {
         let bv = BitVec::zeros(10);
         bv.nth_zero(10);
+    }
+
+    #[test]
+    fn set_word_overwrites_and_guards_the_tail() {
+        let mut bv = BitVec::zeros(70);
+        bv.set(3, true);
+        bv.set_word(0, 0b101);
+        bv.set_word(1, 0b11_1111);
+        assert_eq!(
+            bv.ones().collect::<Vec<_>>(),
+            vec![0, 2, 64, 65, 66, 67, 68, 69]
+        );
+        let tail = std::panic::catch_unwind(|| BitVec::zeros(70).set_word(1, 1 << 6));
+        assert!(tail.is_err(), "bit 70 is past the length");
+        let past = std::panic::catch_unwind(|| BitVec::zeros(64).set_word(1, 0));
+        assert!(past.is_err(), "no word 1 in a 64-bit vector");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!
 //! Each shard runs the mechanism's **fused batch path**: reports fold
 //! straight into the shard aggregator with monomorphized RNG draws and,
-//! for the unary family, geometric-skip bit sampling — no per-report
+//! for the unary family, word-parallel or geometric-skip bit sampling
+//! ([`ldp_core::fo::batch`]) — no per-report
 //! allocation. Because the fused path replays the scalar RNG stream
 //! exactly, the determinism contract is unchanged. Workers are spawned
 //! once per collection round and live for all of their shards (strided
