@@ -253,18 +253,6 @@ impl HcmsServer {
             n: self.n,
         }
     }
-
-    /// The raw accumulated sign sums `S[j, l]` (row-major `k × m`):
-    /// the undebiased spectrum, exposed for frozen-baseline harnesses.
-    pub fn spectrum(&self) -> &[i64] {
-        &self.spectrum
-    }
-
-    /// The query-time debias constant `c'_ε = (e^ε+1)/(e^ε−1)` applied
-    /// to the sign sums before inversion.
-    pub fn debias_constant(&self) -> f64 {
-        self.protocol.c_eps
-    }
 }
 
 /// A decoded HCMS state: the bucket-domain matrix materialized by one
@@ -661,19 +649,54 @@ mod tests {
         }
     }
 
+    /// The per-query reference decode: rebuilds the whole bucket matrix
+    /// with `k` radix-2 reference transforms of the debiased spectrum for
+    /// this one query, then applies the collision debias.
+    fn reference_estimate(server: &HcmsServer, value: u64) -> f64 {
+        let proto = &server.protocol;
+        let (k, m) = proto.shape();
+        let mut matrix = vec![0.0; k * m];
+        let mut row_buf = vec![0.0; m];
+        for j in 0..k {
+            for (dst, &s) in row_buf.iter_mut().zip(&server.spectrum[j * m..(j + 1) * m]) {
+                *dst = proto.c_eps * s as f64;
+            }
+            ldp_sketch::fwht_reference(&mut row_buf);
+            for l in 0..m {
+                matrix[j * m + l] = k as f64 * row_buf[l];
+            }
+        }
+        let mf = m as f64;
+        let mean_cell: f64 = (0..k)
+            .map(|j| matrix[j * m + proto.bucket(j, value)])
+            .sum::<f64>()
+            / k as f64;
+        (mf / (mf - 1.0)) * (mean_cell - server.n as f64 / mf)
+    }
+
+    /// The cached decode inverts the same debiased spectrum as the
+    /// per-query reference, and the tiled FWHT is bit-identical to the
+    /// reference butterfly, so every estimate must match bit for bit.
     #[test]
-    fn spectrum_accessor_exposes_sign_sums() {
-        let proto = HcmsProtocol::new(2, 16, eps(1.0), 1);
-        let mut server = proto.new_server();
-        server.accumulate(&HcmsReport {
-            row: 1,
-            coeff: 3,
-            sign: -1,
-        });
-        assert_eq!(server.spectrum()[16 + 3], -1);
-        assert_eq!(server.spectrum().iter().filter(|&&s| s != 0).count(), 1);
-        let e = proto.epsilon().exp();
-        assert!((server.debias_constant() - (e + 1.0) / (e - 1.0)).abs() < 1e-12);
+    fn cached_decode_bit_identical_to_per_query_reference() {
+        for (k, m, seed) in [(8usize, 256usize, 13u64), (16, 2048, 17)] {
+            let proto = HcmsProtocol::new(k, m, eps(4.0), 5);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut server = proto.new_server();
+            for i in 0..5_000u64 {
+                server.accumulate(&proto.randomize(i % 40, &mut rng));
+            }
+            let decoded = server.decode();
+            for v in 0..64u64 {
+                let reference = reference_estimate(&server, v);
+                assert_eq!(
+                    reference.to_bits(),
+                    decoded.estimate(v).to_bits(),
+                    "(k, m) = ({k}, {m}), value {v}: reference {reference} vs cached {}",
+                    decoded.estimate(v)
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,28 +1,19 @@
 //! Server-side aggregation and estimation cost — accumulate must be O(1)
 //! amortized per report, estimation linear with small constants.
 //!
-//! Besides the criterion groups, this bench runs the **old-vs-new
-//! comparisons** and emits the measurements to `BENCH_aggregate.json` at
-//! the workspace root, so the perf trajectory is recorded run over run:
+//! Besides the criterion groups, this bench records the library's hot
+//! paths at deployment-ish scale in `BENCH_aggregate.json` at the
+//! workspace root, so the perf trajectory is recorded run over run:
 //!
-//! * full-domain OLH estimation: raw-report rescan vs cohort count
-//!   matrix (`decode.olh_estimate_speedup`);
-//! * client-side randomize→accumulate: the frozen pre-batch-engine
-//!   scalar path (one Bernoulli draw per bit through `dyn RngCore`, one
-//!   `BitVec` per report) vs the fused word-parallel batch path
-//!   (`batch_speedup`, sequential on both sides);
-//! * the whole collect loop: legacy scalar collection vs the fused batch
-//!   path fanned out across the parallel engine's actual worker count
-//!   (`collect_speedup`), with the pure thread contribution isolated as
-//!   `thread_scaling` (fused 1 worker vs fused N workers) and the real
-//!   worker count recorded as `threads` — on a single-core host
-//!   `thread_scaling` sits at ~1 and `collect_speedup` is the batch
-//!   engine alone; on a multi-core host the two multiply;
-//! * the industrial mechanisms: Apple CMS legacy scalar (fresh ±1 row +
-//!   per-coordinate `dyn` draws) vs the fused geometric-skip counter path
-//!   (`apple_batch_speedup`), and Microsoft dBitFlip legacy scalar
-//!   (per-report `O(k)` Fisher–Yates pool + per-bucket `dyn` draws) vs
-//!   the fused rejection+skip path (`microsoft_batch_speedup`);
+//! * client-side randomize→accumulate through the fused batch paths,
+//!   sequential: OUE and THE (`oue_batch_randomize_ns`,
+//!   `the_batch_randomize_ns`), Apple CMS (`apple_cms_batch_ns`) and
+//!   Microsoft dBitFlip (`ms_dbitflip_batch_ns`);
+//! * the whole collect loop: the fused batch path on one worker vs
+//!   fanned out across the parallel engine's actual worker count
+//!   (`thread_scaling`), with the real worker count recorded as
+//!   `threads` and the host's core count as `cores` — on a single-core
+//!   host `thread_scaling` sits at ~1;
 //! * the wire layer: the fused in-process OUE collect vs collecting the
 //!   same traffic as bytes through `CollectorService` (frame parse +
 //!   decode + validate + accumulate) — `wire_overhead`, gated < 1.3× in
@@ -44,18 +35,15 @@
 //!   at OUE's ε = 1 flip rate;
 //! * the **decode kernels**, recorded in a nested `"decode"` sub-object
 //!   so the collect-side and decode-side trajectories stay separable:
-//!   the tiled radix-4 FWHT vs the frozen radix-2 butterfly
-//!   (`fwht_tiled_speedup`, bit-identical outputs), HCMS
-//!   decode-once-query-many vs the per-query full-transform baseline
-//!   (`hcms_decode_speedup`, bit-identical estimates), SFP
-//!   candidate-frontier decode vs the frozen exhaustive oracle
-//!   (`sfp_decode_speedup`, same discovered-word set), RAPPOR
-//!   sparse active-set LASSO vs the frozen dense pipeline
-//!   (`rappor_lasso_speedup`, statistically equivalent), and the
-//!   batched inverse-CDF Laplace SHE randomize vs the frozen per-draw
-//!   loop (`she_randomize_speedup`). The full-domain OLH estimation
-//!   comparison lives there too (`olh_estimate_speedup`) — it is a
-//!   decode-side measurement.
+//!   full-domain OLH estimation, raw-report rescan vs cohort count
+//!   matrix (`olh_estimate_speedup`); the tiled radix-4 FWHT vs the
+//!   radix-2 reference butterfly (`fwht_tiled_speedup`, bit-identical
+//!   outputs); SFP candidate-frontier decode vs the exhaustive oracle
+//!   (`sfp_decode_speedup`, same discovered-word set); and the absolute
+//!   cost of the HCMS decode-once-query-many path, the RAPPOR sparse
+//!   active-set LASSO and the batched-Laplace SHE randomize
+//!   (`hcms_cached_decode_ns`, `rappor_sparse_lasso_ns`,
+//!   `she_batched_randomize_ns`).
 //!
 //! Set `LDP_BENCH_SMOKE=1` for a seconds-scale CI smoke configuration,
 //! and `LDP_BENCH_OUT=<path>` to redirect the JSON.
@@ -64,10 +52,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use ldp_apple::cms::CmsOracle;
 use ldp_apple::hcms::HcmsProtocol;
 use ldp_apple::sfp::{SfpConfig, SfpDiscovery};
-use ldp_bench::legacy::{
-    legacy_cms_randomize, legacy_dbitflip_randomize, legacy_hcms_estimate, legacy_rappor_decode,
-    legacy_she_randomize_accumulate, legacy_the_randomize, legacy_unary_randomize,
-};
 use ldp_core::fo::batch::{GeometricSkip, OneHotSampler};
 use ldp_core::fo::{
     CohortLocalHashing, FoAggregator, FrequencyOracle, LocalHashing, OptimizedLocalHashing,
@@ -81,7 +65,6 @@ use ldp_rappor::{RapporAggregator, RapporClient, RapporParams};
 use ldp_workloads::gen::{exact_counts, ZipfGenerator};
 use ldp_workloads::parallel::{
     accumulate_mech_sharded_sequential, accumulate_mech_sharded_with_workers, planned_workers,
-    shard_seed,
 };
 use ldp_workloads::pipeline::{
     split_frames, BackpressurePolicy, CollectorPipeline, PipelineConfig,
@@ -292,37 +275,9 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Legacy scalar collection over the engine's shard plan (same shard
-/// seeds and merge order as `accumulate_mech_sharded`, scalar per-report path
-/// inside) — the old collect loop, kept for the old-vs-new comparison.
-fn legacy_collect_oue(
-    oracle: &OptimizedUnaryEncoding,
-    values: &[u64],
-    base_seed: u64,
-    shards: usize,
-) -> usize {
-    let (p, q) = oracle.probabilities();
-    let d = oracle.domain_size();
-    let chunk = values.len().div_ceil(shards);
-    let mut agg = oracle.new_aggregator();
-    for s in 0..shards {
-        let (lo, hi) = (
-            (s * chunk).min(values.len()),
-            ((s + 1) * chunk).min(values.len()),
-        );
-        let mut rng = StdRng::seed_from_u64(shard_seed(base_seed, s));
-        for &v in &values[lo..hi] {
-            agg.accumulate(&legacy_unary_randomize(d, p, q, v, &mut rng));
-        }
-    }
-    agg.reports()
-}
-
-/// Old-vs-new at deployment-ish scale: full-domain OLH estimation
-/// (raw-report rescan vs cohort count matrix), OUE randomize→accumulate
-/// (legacy per-bit scalar vs fused word-parallel batch), and the whole
-/// collect loop (legacy scalar vs batch across the parallel engine).
-/// Prints the comparison and records it in `BENCH_aggregate.json`.
+/// The recorded trajectory at deployment-ish scale (see the module docs
+/// for every key). Prints each measurement and records them all in
+/// `BENCH_aggregate.json`.
 fn bench_old_vs_new(_c: &mut Criterion) {
     let smoke = std::env::var("LDP_BENCH_SMOKE").is_ok();
     // Full size matches the acceptance target (n=100k, d=4096); smoke
@@ -355,114 +310,61 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     });
     let olh_estimate_speedup = raw_estimate_ns / cohort_estimate_ns;
 
-    // --- Randomization: legacy per-bit scalar vs fused batch, both
-    // sequential, on OUE (the unary family is where the issue's per-user
-    // O(d) draw cost lived).
-    let oue = OptimizedUnaryEncoding::new(d, eps).expect("valid domain");
-    let (p, q) = oue.probabilities();
-    // Identical, odd rep count on both sides of every comparison:
-    // median_ns over an even count returns the slower sample, and
-    // asymmetric counts would bias the recorded speedups.
+    // --- Randomization: the fused batch randomize→accumulate paths,
+    // sequential (algorithmic cost only — thread gains are measured
+    // separately below).
     let rand_reps = 3;
-    let oue_scalar_randomize_ns = median_ns(rand_reps, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut agg = oue.new_aggregator();
-        for &v in &values {
-            agg.accumulate(&legacy_unary_randomize(d, p, q, v, &mut rng));
-        }
-        black_box(agg.reports());
-    });
+    let oue = OptimizedUnaryEncoding::new(d, eps).expect("valid domain");
     let oue_batch_randomize_ns = median_ns(rand_reps, || {
         let mut rng = StdRng::seed_from_u64(7);
         let mut agg = oue.new_aggregator();
         oue.randomize_accumulate_batch(&values, &mut rng, &mut agg);
         black_box(agg.reports());
     });
-    let batch_speedup = oue_scalar_randomize_ns / oue_batch_randomize_ns;
 
-    // THE: the old scalar path materialized d Laplace draws per report
-    // and thresholded them; the batch path samples the induced Bernoulli
-    // channel word-parallel — the starkest unary-family win.
+    // THE samples its thresholded-Laplace channel as an exact Bernoulli
+    // channel, word-parallel.
     let the = ThresholdHistogramEncoding::new(d, eps).expect("valid domain");
-    let theta = the.theta();
-    let scale = 2.0 / eps.value();
-    let the_scalar_randomize_ns = median_ns(rand_reps, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut agg = the.new_aggregator();
-        for &v in &values {
-            agg.accumulate(&legacy_the_randomize(d, scale, theta, v, &mut rng));
-        }
-        black_box(agg.reports());
-    });
     let the_batch_randomize_ns = median_ns(rand_reps, || {
         let mut rng = StdRng::seed_from_u64(7);
         let mut agg = the.new_aggregator();
         the.randomize_accumulate_batch(&values, &mut rng, &mut agg);
         black_box(agg.reports());
     });
-    let the_batch_speedup = the_scalar_randomize_ns / the_batch_randomize_ns;
 
-    // --- Industrial mechanisms: the frozen pre-batch-engine scalar
-    // paths vs today's fused batch paths, sequential on both sides
-    // (algorithmic gains only — thread gains are measured separately).
-    //
-    // Apple CMS (k=16 rows, m=1024 buckets, ε=2): the legacy path
-    // allocates a fresh ±1 row and draws one Bernoulli per coordinate
-    // through `dyn RngCore`; the fused path geometric-skips the
+    // Apple CMS (k=16 rows, m=1024 buckets, ε=2): geometric-skips the
     // sign flips (2 + m·q draws) and lands O(1 + m·q) integer counter
     // increments per report.
     let cms = CmsOracle::new(16, 1024, Epsilon::new(2.0).expect("valid eps"), 31, d);
     let cms_values: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(17) % d).collect();
-    let apple_cms_scalar_ns = median_ns(rand_reps, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut server = cms.protocol().new_server();
-        for &v in &cms_values {
-            server.accumulate(&legacy_cms_randomize(cms.protocol(), v, &mut rng));
-        }
-        black_box(server.reports());
-    });
     let apple_cms_batch_ns = median_ns(rand_reps, || {
         let mut rng = StdRng::seed_from_u64(7);
         let mut agg = cms.new_aggregator();
         cms.randomize_accumulate_batch(&cms_values, &mut rng, &mut agg);
         black_box(agg.reports());
     });
-    let apple_batch_speedup = apple_cms_scalar_ns / apple_cms_batch_ns;
 
-    // Microsoft dBitFlip (k=1024 buckets, d=16 bits/device, ε=1): the
-    // legacy path runs a partial Fisher–Yates over a freshly allocated
-    // O(k) pool per report plus one Bernoulli per assigned bucket; the
-    // fused path rejection-samples the d buckets (expected O(d) draws,
-    // no pool) and geometric-skips the flips.
+    // Microsoft dBitFlip (k=1024 buckets, d=16 bits/device, ε=1):
+    // rejection-samples the d buckets (expected O(d) draws, no pool) and
+    // geometric-skips the flips.
     let dbf = DBitFlip::new(1024, 16, eps).expect("valid params");
     let dbf_values: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(13) % 1024).collect();
-    let ms_dbitflip_scalar_ns = median_ns(rand_reps, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut agg = DBitFlip::new_aggregator(&dbf);
-        for &v in &dbf_values {
-            agg.accumulate(&legacy_dbitflip_randomize(&dbf, v as u32, &mut rng));
-        }
-        black_box(agg.reports());
-    });
     let ms_dbitflip_batch_ns = median_ns(rand_reps, || {
         let mut rng = StdRng::seed_from_u64(7);
         let mut agg = DBitFlip::new_aggregator(&dbf);
         dbf.randomize_accumulate_batch(&dbf_values, &mut rng, &mut agg);
         black_box(agg.reports());
     });
-    let microsoft_batch_speedup = ms_dbitflip_scalar_ns / ms_dbitflip_batch_ns;
 
-    // --- Collection: the legacy scalar loop vs the batch path on the
-    // parallel engine, with the pure thread contribution isolated.
+    // --- Collection: the batch path on one worker vs on the parallel
+    // engine, isolating the pure thread contribution.
     // Median of 7: the wire-overhead gate below compares two ~0.5 s
     // measurements whose ratio a single noisy rep can swing by ±25% on a
     // busy host; 7 reps keeps the medians honest without moving the full
     // run out of the minutes range.
     let collect_reps = 7;
     let threads = planned_workers(shards);
-    let seq_collect_ns = median_ns(collect_reps, || {
-        black_box(legacy_collect_oue(&oue, &values, 5, shards));
-    });
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let batch_collect_1w_ns = median_ns(collect_reps, || {
         black_box(accumulate_mech_sharded_sequential(&&oue, &values, 5, shards).reports());
     });
@@ -471,7 +373,6 @@ fn bench_old_vs_new(_c: &mut Criterion) {
             accumulate_mech_sharded_with_workers(&&oue, &values, 5, shards, threads).reports(),
         );
     });
-    let collect_speedup = seq_collect_ns / par_collect_ns;
     let thread_scaling = batch_collect_1w_ns / par_collect_ns;
 
     // --- Wire overhead: the same OUE collect as above, fused in-process
@@ -654,10 +555,12 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     let (planner_cells, planner_agreed) = planner_ranking_agreement(&planner, planner_n, 2024);
     let planner_agreement = planner_agreed as f64 / planner_cells.max(1) as f64;
 
-    // --- Decode kernels: each new kernel vs its frozen baseline, same
-    // odd rep count on both sides of every comparison.
+    // --- Decode kernels. Where a kernel has a retained oracle to race,
+    // both sides get the same odd rep count: median_ns over an even count
+    // returns the slower sample, and asymmetric counts would bias the
+    // recorded speedup.
 
-    // Tiled radix-4 FWHT vs the frozen radix-2 reference butterfly, at a
+    // Tiled radix-4 FWHT vs the radix-2 reference butterfly, at a
     // transform size whose working set spills L1 (where the tiling
     // matters). The per-rep clone is identical on both sides.
     let fwht_m = if smoke { 1usize << 14 } else { 1usize << 17 };
@@ -681,11 +584,8 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     let fwht_tiled_speedup = fwht_reference_ns / fwht_tiled_ns;
 
     // HCMS: answering a batch of point queries against a frozen sketch.
-    // The legacy path re-ran the full k-row transform sweep per query;
-    // the decode kernel inverts the spectrum once and answers each query
-    // with k hash-and-gather probes. Estimates are bit-identical
-    // (asserted below) because the tiled FWHT matches the reference
-    // butterfly bit-for-bit.
+    // The decode kernel inverts the spectrum once and answers each query
+    // with k hash-and-gather probes.
     let (hcms_k, hcms_m, hcms_q) = if smoke {
         (8usize, 512usize, 16u64)
     } else {
@@ -700,46 +600,13 @@ fn bench_old_vs_new(_c: &mut Criterion) {
         }
     }
     let hcms_queries: Vec<u64> = (0..hcms_q).collect();
-    let hcms_legacy_decode_ns = median_ns(rand_reps, || {
-        let estimates: Vec<f64> = hcms_queries
-            .iter()
-            .map(|&v| {
-                legacy_hcms_estimate(
-                    &hcms_proto,
-                    hcms_server.spectrum(),
-                    hcms_server.debias_constant(),
-                    hcms_server.reports(),
-                    v,
-                )
-            })
-            .collect();
-        black_box(estimates);
-    });
     let hcms_cached_decode_ns = median_ns(rand_reps, || {
         black_box(hcms_server.estimate_items(&hcms_queries));
     });
-    let hcms_decode_speedup = hcms_legacy_decode_ns / hcms_cached_decode_ns;
-    for (&v, &fast) in hcms_queries
-        .iter()
-        .zip(&hcms_server.estimate_items(&hcms_queries))
-    {
-        let slow = legacy_hcms_estimate(
-            &hcms_proto,
-            hcms_server.spectrum(),
-            hcms_server.debias_constant(),
-            hcms_server.reports(),
-            v,
-        );
-        assert_eq!(
-            slow.to_bits(),
-            fast.to_bits(),
-            "HCMS decode diverged from the frozen baseline at value {v}"
-        );
-    }
 
-    // SFP: candidate-frontier decode vs the frozen exhaustive oracle on
-    // a seeded heavy-hitter workload (both must discover the same
-    // words; the frontier only prunes fragments below the noise floor).
+    // SFP: candidate-frontier decode vs the exhaustive oracle on a seeded
+    // heavy-hitter workload (both must discover the same words; the
+    // frontier only prunes fragments below the noise floor).
     let sfp_n = if smoke { 4_000usize } else { 20_000 };
     let sfp = SfpDiscovery::new(
         SfpConfig::simulation(Epsilon::new(6.0).expect("valid eps")),
@@ -768,10 +635,10 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     });
     let sfp_decode_speedup = sfp_exhaustive_decode_ns / sfp_candidate_decode_ns;
 
-    // RAPPOR: sparse active-set LASSO decode vs the frozen dense
-    // pipeline, over a candidate list dominated by absent values (the
-    // deployment shape: the known dictionary is much larger than the
-    // heavy-hitter set, and the sparse solver skips converged zeros).
+    // RAPPOR: sparse active-set LASSO decode over a candidate list
+    // dominated by absent values (the deployment shape: the known
+    // dictionary is much larger than the heavy-hitter set, and the sparse
+    // solver skips converged zeros).
     let (n_rappor, n_rappor_cand) = if smoke {
         (2_000usize, 100usize)
     } else {
@@ -789,41 +656,27 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     }
     let rappor_names: Vec<String> = (0..n_rappor_cand).map(|i| format!("url-{i}")).collect();
     let rappor_cands: Vec<&[u8]> = rappor_names.iter().map(|s| s.as_bytes()).collect();
-    let rappor_dense_lasso_ns = median_ns(rand_reps, || {
-        black_box(legacy_rappor_decode(&rappor_agg, &rappor_cands));
-    });
     let rappor_sparse_lasso_ns = median_ns(rand_reps, || {
         black_box(rappor_agg.decode(&rappor_cands));
     });
-    let rappor_lasso_speedup = rappor_dense_lasso_ns / rappor_sparse_lasso_ns;
 
     // SHE: the batched inverse-CDF Laplace randomize→accumulate (one
-    // uniform block + branchless transform per report, shared scratch)
-    // vs the frozen per-draw loop (fresh Vec per report, one libm-ln
-    // `sample_laplace` per coordinate).
+    // uniform block + branchless transform per report, shared scratch).
     let (she_d, n_she) = if smoke {
         (256u64, 2_000usize)
     } else {
         (1024, 10_000)
     };
     let she = SummationHistogramEncoding::new(she_d, eps).expect("valid domain");
-    let she_scale = she.noise_scale();
     let she_values: Vec<u64> = (0..n_she)
         .map(|i| (i as u64).wrapping_mul(7) % she_d)
         .collect();
-    let she_legacy_randomize_ns = median_ns(rand_reps, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut sums = vec![0.0; she_d as usize];
-        legacy_she_randomize_accumulate(she_d, she_scale, &she_values, &mut rng, &mut sums);
-        black_box(&sums);
-    });
     let she_batched_randomize_ns = median_ns(rand_reps, || {
         let mut rng = StdRng::seed_from_u64(7);
         let mut agg = she.new_aggregator();
         she.randomize_accumulate_batch(&she_values, &mut rng, &mut agg);
         black_box(agg.reports());
     });
-    let she_randomize_speedup = she_legacy_randomize_ns / she_batched_randomize_ns;
 
     // --- The unary one-hot channel at d = 4096, per report's words (what
     // the fused frame writer consumes): geometric skipping with the
@@ -891,28 +744,14 @@ fn bench_old_vs_new(_c: &mut Criterion) {
         cohort_estimate_ns / 1e6
     );
     println!(
-        "oue_randomize_accumulate/scalar_n{n}_d{d}: {:.2} ms, fused_batch: {:.2} ms  ({batch_speedup:.1}x speedup)",
-        oue_scalar_randomize_ns / 1e6,
-        oue_batch_randomize_ns / 1e6
-    );
-    println!(
-        "the_randomize_accumulate/scalar_n{n}_d{d}: {:.2} ms, fused_batch: {:.2} ms  ({the_batch_speedup:.1}x speedup)",
-        the_scalar_randomize_ns / 1e6,
-        the_batch_randomize_ns / 1e6
-    );
-    println!(
-        "apple_cms_randomize_accumulate/legacy_n{n}_m1024: {:.2} ms, fused_batch: {:.2} ms  ({apple_batch_speedup:.1}x speedup)",
-        apple_cms_scalar_ns / 1e6,
-        apple_cms_batch_ns / 1e6
-    );
-    println!(
-        "microsoft_dbitflip_randomize_accumulate/legacy_n{n}_k1024_d16: {:.2} ms, fused_batch: {:.2} ms  ({microsoft_batch_speedup:.1}x speedup)",
-        ms_dbitflip_scalar_ns / 1e6,
+        "fused_batch_randomize_accumulate_n{n}: oue_d{d} {:.2} ms, the_d{d} {:.2} ms, apple_cms_m1024 {:.2} ms, microsoft_dbitflip_k1024_d16 {:.2} ms",
+        oue_batch_randomize_ns / 1e6,
+        the_batch_randomize_ns / 1e6,
+        apple_cms_batch_ns / 1e6,
         ms_dbitflip_batch_ns / 1e6
     );
     println!(
-        "oue_collect/legacy_scalar_n{n}: {:.2} ms, batch_1w: {:.2} ms, batch_parallel({threads} workers): {:.2} ms  ({collect_speedup:.1}x total, {thread_scaling:.2}x from threads)",
-        seq_collect_ns / 1e6,
+        "oue_collect/batch_1w_n{n}: {:.2} ms, batch_parallel({threads} workers, {cores} cores): {:.2} ms  ({thread_scaling:.2}x from threads)",
         batch_collect_1w_ns / 1e6,
         par_collect_ns / 1e6
     );
@@ -947,8 +786,7 @@ fn bench_old_vs_new(_c: &mut Criterion) {
         fwht_tiled_ns / 1e6
     );
     println!(
-        "hcms_decode/legacy_per_query_k{hcms_k}_m{hcms_m}_q{hcms_q}: {:.2} ms, decode_once: {:.3} ms  ({hcms_decode_speedup:.1}x speedup, bit-identical)",
-        hcms_legacy_decode_ns / 1e6,
+        "hcms_decode/decode_once_k{hcms_k}_m{hcms_m}_q{hcms_q}: {:.3} ms",
         hcms_cached_decode_ns / 1e6
     );
     println!(
@@ -957,18 +795,16 @@ fn bench_old_vs_new(_c: &mut Criterion) {
         sfp_candidate_decode_ns / 1e6
     );
     println!(
-        "rappor_decode/dense_lasso_{n_rappor_cand}cand: {:.2} ms, sparse_active_set: {:.2} ms  ({rappor_lasso_speedup:.1}x speedup)",
-        rappor_dense_lasso_ns / 1e6,
+        "rappor_decode/sparse_active_set_{n_rappor_cand}cand: {:.2} ms",
         rappor_sparse_lasso_ns / 1e6
     );
     println!(
-        "she_randomize_accumulate/legacy_per_draw_n{n_she}_d{she_d}: {:.2} ms, batched_laplace: {:.2} ms  ({she_randomize_speedup:.1}x speedup)",
-        she_legacy_randomize_ns / 1e6,
+        "she_randomize_accumulate/batched_laplace_n{n_she}_d{she_d}: {:.2} ms",
         she_batched_randomize_ns / 1e6
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"aggregate_throughput\",\n  \"mode\": \"{}\",\n  \"n\": {n},\n  \"d\": {d},\n  \"g\": {},\n  \"cohorts\": {cohorts},\n  \"shards\": {shards},\n  \"threads\": {threads},\n  \"oue_scalar_randomize_ns\": {oue_scalar_randomize_ns:.0},\n  \"oue_batch_randomize_ns\": {oue_batch_randomize_ns:.0},\n  \"batch_speedup\": {batch_speedup:.2},\n  \"the_scalar_randomize_ns\": {the_scalar_randomize_ns:.0},\n  \"the_batch_randomize_ns\": {the_batch_randomize_ns:.0},\n  \"the_batch_speedup\": {the_batch_speedup:.2},\n  \"apple_cms_scalar_ns\": {apple_cms_scalar_ns:.0},\n  \"apple_cms_batch_ns\": {apple_cms_batch_ns:.0},\n  \"apple_batch_speedup\": {apple_batch_speedup:.2},\n  \"ms_dbitflip_scalar_ns\": {ms_dbitflip_scalar_ns:.0},\n  \"ms_dbitflip_batch_ns\": {ms_dbitflip_batch_ns:.0},\n  \"microsoft_batch_speedup\": {microsoft_batch_speedup:.2},\n  \"seq_collect_ns\": {seq_collect_ns:.0},\n  \"batch_collect_1w_ns\": {batch_collect_1w_ns:.0},\n  \"par_collect_ns\": {par_collect_ns:.0},\n  \"collect_speedup\": {collect_speedup:.2},\n  \"thread_scaling\": {thread_scaling:.2},\n  \"direct_collect_ns\": {direct_collect_ns:.0},\n  \"wire_collect_ns\": {wire_collect_ns:.0},\n  \"wire_client_frame_ns\": {wire_client_frame_ns:.0},\n  \"wire_overhead\": {wire_overhead:.3},\n  \"wire_e2e_overhead\": {wire_e2e_overhead:.3},\n  \"pipeline_ingest_ns\": {pipeline_ingest_ns:.0},\n  \"pipeline_queue_hwm\": {pipeline_queue_hwm},\n  \"snapshot_roundtrip_ns\": {snapshot_roundtrip_ns:.0},\n  \"snapshot_bytes\": {snapshot_bytes},\n  \"window_advance_ns\": {window_advance_ns:.0},\n  \"window_estimate_ns\": {window_estimate_ns:.0},\n  \"planner\": {{\n    \"plan_ns\": {planner_plan_ns:.0},\n    \"cells\": {planner_cells},\n    \"ranking_agreement\": {planner_agreement:.3}\n  }},\n  \"sampler\": {sampler_json},\n  \"decode\": {{\n    \"raw_full_estimate_ns\": {raw_estimate_ns:.0},\n    \"cohort_full_estimate_ns\": {cohort_estimate_ns:.0},\n    \"olh_estimate_speedup\": {olh_estimate_speedup:.2},\n    \"fwht_m\": {fwht_m},\n    \"fwht_reference_ns\": {fwht_reference_ns:.0},\n    \"fwht_tiled_ns\": {fwht_tiled_ns:.0},\n    \"fwht_tiled_speedup\": {fwht_tiled_speedup:.2},\n    \"hcms_legacy_decode_ns\": {hcms_legacy_decode_ns:.0},\n    \"hcms_cached_decode_ns\": {hcms_cached_decode_ns:.0},\n    \"hcms_decode_speedup\": {hcms_decode_speedup:.2},\n    \"sfp_exhaustive_decode_ns\": {sfp_exhaustive_decode_ns:.0},\n    \"sfp_candidate_decode_ns\": {sfp_candidate_decode_ns:.0},\n    \"sfp_decode_speedup\": {sfp_decode_speedup:.2},\n    \"rappor_dense_lasso_ns\": {rappor_dense_lasso_ns:.0},\n    \"rappor_sparse_lasso_ns\": {rappor_sparse_lasso_ns:.0},\n    \"rappor_lasso_speedup\": {rappor_lasso_speedup:.2},\n    \"she_legacy_randomize_ns\": {she_legacy_randomize_ns:.0},\n    \"she_batched_randomize_ns\": {she_batched_randomize_ns:.0},\n    \"she_randomize_speedup\": {she_randomize_speedup:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"aggregate_throughput\",\n  \"mode\": \"{}\",\n  \"n\": {n},\n  \"d\": {d},\n  \"g\": {},\n  \"cohorts\": {cohorts},\n  \"shards\": {shards},\n  \"threads\": {threads},\n  \"cores\": {cores},\n  \"oue_batch_randomize_ns\": {oue_batch_randomize_ns:.0},\n  \"the_batch_randomize_ns\": {the_batch_randomize_ns:.0},\n  \"apple_cms_batch_ns\": {apple_cms_batch_ns:.0},\n  \"ms_dbitflip_batch_ns\": {ms_dbitflip_batch_ns:.0},\n  \"batch_collect_1w_ns\": {batch_collect_1w_ns:.0},\n  \"par_collect_ns\": {par_collect_ns:.0},\n  \"thread_scaling\": {thread_scaling:.2},\n  \"direct_collect_ns\": {direct_collect_ns:.0},\n  \"wire_collect_ns\": {wire_collect_ns:.0},\n  \"wire_client_frame_ns\": {wire_client_frame_ns:.0},\n  \"wire_overhead\": {wire_overhead:.3},\n  \"wire_e2e_overhead\": {wire_e2e_overhead:.3},\n  \"pipeline_ingest_ns\": {pipeline_ingest_ns:.0},\n  \"pipeline_queue_hwm\": {pipeline_queue_hwm},\n  \"snapshot_roundtrip_ns\": {snapshot_roundtrip_ns:.0},\n  \"snapshot_bytes\": {snapshot_bytes},\n  \"window_advance_ns\": {window_advance_ns:.0},\n  \"window_estimate_ns\": {window_estimate_ns:.0},\n  \"planner\": {{\n    \"plan_ns\": {planner_plan_ns:.0},\n    \"cells\": {planner_cells},\n    \"ranking_agreement\": {planner_agreement:.3}\n  }},\n  \"sampler\": {sampler_json},\n  \"decode\": {{\n    \"raw_full_estimate_ns\": {raw_estimate_ns:.0},\n    \"cohort_full_estimate_ns\": {cohort_estimate_ns:.0},\n    \"olh_estimate_speedup\": {olh_estimate_speedup:.2},\n    \"fwht_m\": {fwht_m},\n    \"fwht_reference_ns\": {fwht_reference_ns:.0},\n    \"fwht_tiled_ns\": {fwht_tiled_ns:.0},\n    \"fwht_tiled_speedup\": {fwht_tiled_speedup:.2},\n    \"hcms_cached_decode_ns\": {hcms_cached_decode_ns:.0},\n    \"sfp_exhaustive_decode_ns\": {sfp_exhaustive_decode_ns:.0},\n    \"sfp_candidate_decode_ns\": {sfp_candidate_decode_ns:.0},\n    \"sfp_decode_speedup\": {sfp_decode_speedup:.2},\n    \"rappor_sparse_lasso_ns\": {rappor_sparse_lasso_ns:.0},\n    \"she_batched_randomize_ns\": {she_batched_randomize_ns:.0}\n  }}\n}}\n",
         if smoke { "smoke" } else { "full" },
         cohort_oracle.g(),
     );

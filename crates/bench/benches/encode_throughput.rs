@@ -2,19 +2,17 @@
 //! a report must cost microseconds on-device.
 //!
 //! The `client_encode_batch` group is the scalar-vs-batch comparison:
-//! for the unary family it pits the frozen pre-batch-engine per-bit
-//! randomizer (`legacy`) against today's scalar path (word-parallel or
-//! geometric-skip sampling through `dyn RngCore`) and the fused batch path
-//! (monomorphized draws, reports folded straight into the aggregator,
-//! zero per-report allocation). The industrial mechanisms get the same
-//! treatment: Apple CMS (legacy per-coordinate scalar vs reusable
+//! for the unary family it pits the scalar path (word-parallel or
+//! geometric-skip sampling through `dyn RngCore`, one report per call)
+//! against the fused batch path (monomorphized draws, reports folded
+//! straight into the aggregator, zero per-report allocation). The
+//! industrial mechanisms get the same treatment: Apple CMS (reusable
 //! `report_into` buffer vs fused counter path) and Microsoft dBitFlip
-//! (legacy `O(k)`-pool scalar vs fused rejection+skip batch).
+//! (fused rejection+skip batch).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ldp_apple::cms::{CmsOracle, CmsProtocol, CmsReport};
 use ldp_apple::hcms::HcmsProtocol;
-use ldp_bench::legacy::{legacy_cms_randomize, legacy_dbitflip_randomize, legacy_unary_randomize};
 use ldp_core::fo::{
     DirectEncoding, FoAggregator, FrequencyOracle, HadamardResponse, OptimizedLocalHashing,
     OptimizedUnaryEncoding, ThresholdHistogramEncoding,
@@ -89,7 +87,7 @@ fn bench_encode(c: &mut Criterion) {
 
 /// Scalar-vs-batch randomization for the unary family, over a 1k-report
 /// batch so criterion's per-element throughput is comparable across the
-/// three paths.
+/// paths.
 fn bench_encode_batch(c: &mut Criterion) {
     let eps = Epsilon::new(1.0).expect("valid eps");
     let batch: Vec<u64> = (0..1000u64).collect();
@@ -101,17 +99,6 @@ fn bench_encode_batch(c: &mut Criterion) {
 
     for d in [1024u64, 4096] {
         let oue = OptimizedUnaryEncoding::new(d, eps).expect("valid domain");
-        let (p, q) = oue.probabilities();
-        group.bench_with_input(BenchmarkId::new("oue_legacy_per_bit", d), &d, |b, &d| {
-            let mut rng = StdRng::seed_from_u64(3);
-            b.iter(|| {
-                let mut agg = oue.new_aggregator();
-                for &v in &batch {
-                    agg.accumulate(&legacy_unary_randomize(d, p, q, black_box(v), &mut rng));
-                }
-                agg.reports()
-            })
-        });
         group.bench_with_input(BenchmarkId::new("oue_scalar_geometric", d), &d, |b, _| {
             let mut rng = StdRng::seed_from_u64(3);
             b.iter(|| {
@@ -145,24 +132,9 @@ fn bench_encode_batch(c: &mut Criterion) {
         });
     }
 
-    // Apple CMS: frozen legacy per-coordinate scalar vs the reusable
-    // report buffer vs the fused counter path.
+    // Apple CMS: the reusable report buffer vs the fused counter path.
     {
         let oracle = CmsOracle::new(16, 1024, Epsilon::new(2.0).expect("valid eps"), 31, 1024);
-        group.bench_function("apple_cms_legacy_per_coord/1024", |b| {
-            let mut rng = StdRng::seed_from_u64(7);
-            b.iter(|| {
-                let mut server = oracle.protocol().new_server();
-                for &v in &batch {
-                    server.accumulate(&legacy_cms_randomize(
-                        oracle.protocol(),
-                        black_box(v),
-                        &mut rng,
-                    ));
-                }
-                server.reports()
-            })
-        });
         group.bench_function("apple_cms_report_into_reused_buf/1024", |b| {
             let mut rng = StdRng::seed_from_u64(7);
             let mut report = CmsReport::empty();
@@ -187,24 +159,9 @@ fn bench_encode_batch(c: &mut Criterion) {
         });
     }
 
-    // Microsoft dBitFlip: frozen legacy O(k)-pool scalar vs the fused
-    // rejection+skip batch path.
+    // Microsoft dBitFlip: the fused rejection+skip batch path.
     {
         let dbf = DBitFlip::new(1024, 16, eps).expect("valid params");
-        group.bench_function("ms_dbitflip_legacy_pool/k1024_d16", |b| {
-            let mut rng = StdRng::seed_from_u64(9);
-            b.iter(|| {
-                let mut agg = DBitFlip::new_aggregator(&dbf);
-                for &v in &batch {
-                    agg.accumulate(&legacy_dbitflip_randomize(
-                        &dbf,
-                        black_box(v as u32),
-                        &mut rng,
-                    ));
-                }
-                agg.reports()
-            })
-        });
         group.bench_function("ms_dbitflip_fused_batch/k1024_d16", |b| {
             let mut rng = StdRng::seed_from_u64(9);
             b.iter(|| {
