@@ -31,8 +31,9 @@
 //!   geometric skipping (set bits OR-ed into zeroed words, as the frame
 //!   writer did before the word sampler) and the shipped
 //!   `ldp_core::fo::batch::OneHotSampler` (word-parallel at this `d`) at
-//!   `q ∈ {1/128, 1/64, 1/32, 0.27}`, and `word_speedup_q027`, the ratio
-//!   at OUE's ε = 1 flip rate;
+//!   `q ∈ {1/128, 1/64, 1/32, 0.27}`, `word_speedup_q027`, the ratio
+//!   at OUE's ε = 1 flip rate, and `word_draws_q027`, the RNG words one
+//!   report draws there (counted, not timed);
 //! * the **decode kernels**, recorded in a nested `"decode"` sub-object
 //!   so the collect-side and decode-side trajectories stay separable:
 //!   full-domain OLH estimation, raw-report rescan vs cohort count
@@ -52,7 +53,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use ldp_apple::cms::CmsOracle;
 use ldp_apple::hcms::HcmsProtocol;
 use ldp_apple::sfp::{SfpConfig, SfpDiscovery};
-use ldp_core::fo::batch::{GeometricSkip, OneHotSampler};
+use ldp_core::fo::batch::{CountingRng, GeometricSkip, OneHotSampler};
 use ldp_core::fo::{
     CohortLocalHashing, FoAggregator, FrequencyOracle, LocalHashing, OptimizedLocalHashing,
     OptimizedUnaryEncoding, SummationHistogramEncoding, ThresholdHistogramEncoding,
@@ -730,8 +731,18 @@ fn bench_old_vs_new(_c: &mut Criterion) {
             "    \"geometric_{label}_ns\": {geometric_ns:.0},\n    \"word_{label}_ns\": {word_ns:.0}"
         ));
     }
+    // RNG words one report draws at OUE's ε = 1 rate, counted rather
+    // than timed: deterministic for the seed, the same in every mode.
+    let draw_reports = 1_000u64;
+    let mut counting = CountingRng::new(StdRng::seed_from_u64(7));
+    let chan = OneHotSampler::new(sampler_d, 0.5, 0.27);
+    for r in 0..draw_reports {
+        chan.sample_words(r % sampler_d, &mut counting, |_, _| {});
+    }
+    let word_draws_q027 = counting.draws() as f64 / draw_reports as f64;
+    println!("unary_sampler/d{sampler_d}_q027: {word_draws_q027:.2} RNG words per report");
     let sampler_json = format!(
-        "{{\n    \"d\": {sampler_d},\n{},\n    \"word_speedup_q027\": {word_speedup_q027:.2}\n  }}",
+        "{{\n    \"d\": {sampler_d},\n{},\n    \"word_speedup_q027\": {word_speedup_q027:.2},\n    \"word_draws_q027\": {word_draws_q027:.2}\n  }}",
         sampler_fields.join(",\n")
     );
 

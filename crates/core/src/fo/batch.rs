@@ -23,10 +23,16 @@
 //!   `qm = ⌈q·2^53⌉` at once. The uniforms are built most-significant bit
 //!   first, one RNG word per bit position (bit `j` of the word is lane
 //!   `j`'s next bit); a lane settles at the first bit where its uniform
-//!   differs from `qm`, and the word is done when no lane is open. All 64
-//!   lanes settle after `log₂64 + 1.3 ≈ 7.3` draws on average, whatever
-//!   `q` is — and the per-position work is a few bitwise operations
-//!   shared by the whole word, not a table rank and a byte OR per set bit.
+//!   differs from `qm`. A word first reveals a fixed prefix of `K = 8`
+//!   positions (fewer if `qm`'s lowest set bit comes sooner) with no exit
+//!   test, then continues one position at a time only while a lane is
+//!   still open — which after 8 positions happens for about one word in
+//!   five (`1 − (1 − 2^−8)^64 ≈ 0.22`). That is `8 + ≈0.46 ≈ 8.46` draws
+//!   per word whatever `q` is: more than the `≈ 7.34` of testing for open
+//!   lanes after every position, but that data-dependent test mispredicts
+//!   about once per word, which costs more than the extra draws. The
+//!   per-position work is a few bitwise operations shared by the whole
+//!   word, not a table rank and a byte OR per set bit.
 //!
 //! Both give every bit probability exactly `⌈q·2^53⌉/2^53` — the rounding
 //! `gen_bool(q)` applies to the vendored `rand`'s 53-bit uniform — with
@@ -38,12 +44,12 @@
 //! |---|---|---|
 //! | per-bit `gen_bool` | `d` | — |
 //! | [`GeometricSkip`] | `1 + d·q` | table rank + store |
-//! | [`WordBernoulli`] | `≈ 7.3·⌈d/64⌉` (`log₂d + 1.3` when `d < 64`) | none (bit scan only if the consumer wants positions) |
+//! | [`WordBernoulli`] | `≈ (K + 0.46)·⌈d/64⌉`, `K = 8` (the prefix is capped at `qm`'s lowest set bit, so e.g. `5·⌈d/64⌉` exactly at `q = 1/32`) | none (bit scan only if the consumer wants positions) |
 //!
 //! **The rule** ([`OneHotSampler::new`]): the unary channel uses the word
 //! sampler whenever the report has a full word, `d ≥ 64`, and geometric
-//! skipping below that. Below one word, settling `d` lanes still takes
-//! `log₂d + 1.3` draws against geometric's `1 + (d−1)·q` — and the
+//! skipping below that. Below one word, the word sampler would still pay
+//! its `K`-position prefix against geometric's `1 + (d−1)·q` — and the
 //! small-domain configurations keep the RNG stream every earlier build
 //! drew, so their reports, frames and aggregates stay byte-identical.
 //! The choice is made once, from `d`, when the oracle is built; there is
@@ -218,8 +224,52 @@ pub fn expected_draws(slots: u64, q: f64) -> f64 {
     1.0 + slots as f64 * q.clamp(0.0, 1.0)
 }
 
+/// An [`RngCore`] wrapper that counts the words drawn through it — one
+/// per `next_u64` or `next_u32`, `⌈len/8⌉` per `fill_bytes` — so tests
+/// and benches can state a sampler's draw budget exactly.
+#[derive(Debug, Clone)]
+pub struct CountingRng<R> {
+    inner: R,
+    draws: u64,
+}
+
+impl<R: RngCore> CountingRng<R> {
+    /// Wraps `inner` with a zero count.
+    pub fn new(inner: R) -> Self {
+        Self { inner, draws: 0 }
+    }
+
+    /// Words drawn so far.
+    pub fn draws(&self) -> u64 {
+        self.draws
+    }
+}
+
+impl<R: RngCore> RngCore for CountingRng<R> {
+    fn next_u32(&mut self) -> u32 {
+        self.draws += 1;
+        self.inner.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.inner.next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.draws += dest.len().div_ceil(8) as u64;
+        self.inner.fill_bytes(dest)
+    }
+}
+
 /// `2^53`: the scale of the 53-bit uniforms both samplers compare.
 const UNIT: u64 = 1 << 53;
+
+/// Bit positions [`WordBernoulli::sample_word`] reveals before it first
+/// asks whether any lane is still open (fewer when `qm`'s lowest set bit
+/// comes sooner). After 8 positions a full word still has an open lane
+/// with probability `1 − (1 − 2^−8)^64 ≈ 0.22`, so the data-dependent
+/// exit, which mispredicts about once each time it is reached, is reached
+/// in one word of five. Chosen by measurement against depths 6–10.
+const PREFIX: u32 = 8;
 
 /// A word-parallel exact Bernoulli(`q`) sampler: 64 independent coins
 /// per RNG-word sweep.
@@ -234,9 +284,11 @@ const UNIT: u64 = 1 << 53;
 /// rounding `gen_bool(q)` applies, and lanes (and words) are independent
 /// because they read disjoint RNG bits.
 ///
-/// Cost: one RNG word per revealed bit position until every lane has
-/// settled — each open lane settles with probability ½ per position, so
-/// `≈ log₂(lanes) + 1.3` words (~7.3 for a full word), independent of
+/// Cost: one RNG word per revealed bit position. Every word reveals a
+/// prefix of 8 positions (or down to `qm`'s lowest set bit, if that
+/// comes first) without testing for open lanes, then continues only
+/// while some lane is open; each open lane settles with probability ½
+/// per position, so a full word draws `≈ 8.46` words, independent of
 /// `q`. `q ≤ 0` and `q ≥ 1` consume no RNG at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WordBernoulli {
@@ -266,7 +318,10 @@ impl WordBernoulli {
 
     /// Samples one word: every bit set in `lanes` is independently 1 with
     /// probability `qm/2^53`; bits outside `lanes` are always 0.
-    #[inline]
+    // Always inlined: called once per word, it must keep the RNG state in
+    // registers across a report's words and hoist `qm`'s prefix masks,
+    // which a call per word would spill and rebuild.
+    #[inline(always)]
     pub fn sample_word<R: RngCore + ?Sized>(&self, lanes: u64, rng: &mut R) -> u64 {
         if self.qm == 0 {
             return 0;
@@ -278,23 +333,33 @@ impl WordBernoulli {
         // Below `qm`'s lowest set bit its remaining bits are zero, so a
         // lane still open there can no longer fall below it.
         let last = self.qm.trailing_zeros();
-        let mut open = lanes;
-        let mut ones = 0u64;
-        let mut k = 52;
-        loop {
-            let r = rng.next_u64();
-            // All-ones where `qm` has a 1 at bit k: an open lane drawing 0
-            // there falls below `qm` (sets); where `qm` has a 0, an open
-            // lane drawing 1 rises above it (clears). Lanes drawing `qm`'s
-            // bit stay open.
-            let qbit = ((self.qm >> k) & 1).wrapping_neg();
-            ones |= open & !r & qbit;
-            open &= !(r ^ qbit);
-            if open == 0 || k == last {
-                return ones;
-            }
+        let prefix_end = last.max(53 - PREFIX);
+        let (mut open, mut ones) = (lanes, 0u64);
+        let mut k = 53;
+        // The prefix: a fixed number of positions with no exit on `open`,
+        // so the only branch is a loop count the predictor learns.
+        while k > prefix_end {
             k -= 1;
+            (open, ones) = self.reveal(k, rng.next_u64(), open, ones);
         }
+        // The tail, for the few words with a lane still open.
+        while open != 0 && k > last {
+            k -= 1;
+            (open, ones) = self.reveal(k, rng.next_u64(), open, ones);
+        }
+        ones
+    }
+
+    /// One bit position `k` of every lane's uniform, revealed by the RNG
+    /// word `r`: returns the updated `(open, ones)` lane masks.
+    #[inline(always)]
+    fn reveal(&self, k: u32, r: u64, open: u64, ones: u64) -> (u64, u64) {
+        // All-ones where `qm` has a 1 at bit k: an open lane drawing 0
+        // there falls below `qm` (sets); where `qm` has a 0, an open lane
+        // drawing 1 rises above it (clears). Lanes drawing `qm`'s bit
+        // stay open.
+        let qbit = ((self.qm >> k) & 1).wrapping_neg();
+        (open & !(r ^ qbit), ones | (open & !r & qbit))
     }
 
     /// Samples `slots` coins as whole words in index order, invoking
@@ -762,6 +827,41 @@ mod tests {
             assert_eq!(words.sample_word(0b11, &mut rng), 1);
             assert_eq!(rng.0.len(), qm.trailing_zeros() as usize, "q={q}");
         }
+    }
+
+    /// The prefix reads one word per bit position down to `qm`'s lowest
+    /// set bit, even when every lane settles on the first word: at q = ½,
+    /// ¾ and 1/64 (`qm` = 2^52, 3·2^51, 2^47) that is exactly 1, 2 and 6
+    /// words per word, full or partial. The first word settles all lanes:
+    /// zeros fall below ½ and ¾, ones rise above 1/64.
+    #[test]
+    fn prefix_reads_down_to_qms_lowest_set_bit() {
+        for (q, first, depth, bits) in [
+            (0.5, 0, 1, u64::MAX),
+            (0.75, 0, 2, u64::MAX),
+            (1.0 / 64.0, u64::MAX, 6, 0),
+        ] {
+            let mut per_word = vec![first];
+            per_word.resize(depth, 0x5555_5555_5555_5555);
+            let mut rng = Scripted(per_word.repeat(3).into_iter());
+            let mut seen = Vec::new();
+            WordBernoulli::new(q).sample_words(130, &mut rng, |_, b| seen.push(b));
+            assert_eq!(rng.0.len(), 0, "q={q}: reads {depth} words per word");
+            assert_eq!(seen, [bits, bits, bits & 0b11], "q={q}");
+        }
+    }
+
+    /// Pins the RNG words a d = 4096 report draws at q = 0.27 for one
+    /// seed: 64 prefixes of 8 words, plus the tails of the words with a
+    /// lane still open after them (≈ 0.45 words per word).
+    #[test]
+    fn word_draws_per_report_are_pinned() {
+        let words = WordBernoulli::new(0.27);
+        let mut rng = CountingRng::new(StdRng::seed_from_u64(149));
+        for _ in 0..100 {
+            words.sample_words(4096, &mut rng, |_, _| {});
+        }
+        assert_eq!(rng.draws(), 54_125);
     }
 
     /// Both samplers give the one-hot channel: the hot bit at rate p,

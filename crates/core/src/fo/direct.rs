@@ -155,11 +155,14 @@ impl FoAggregator for DirectAggregator {
     }
 
     fn estimate(&self) -> Vec<f64> {
-        let n = self.n as f64;
-        self.histogram
-            .iter()
-            .map(|&o| (o as f64 - n * self.q) / (self.p - self.q))
-            .collect()
+        let counts = self.histogram.iter().copied();
+        super::debiased_counts(self.n, self.p, self.q, counts)
+    }
+
+    /// Debiases only the queried counters.
+    fn estimate_items(&self, items: &[u64]) -> Vec<f64> {
+        let counts = items.iter().map(|&v| self.histogram[v as usize]);
+        super::debiased_counts(self.n, self.p, self.q, counts)
     }
 
     fn merge(&mut self, other: Self) -> crate::Result<()> {
@@ -191,6 +194,20 @@ mod tests {
         let total: f64 = est.iter().sum();
         assert!((total - 5000.0).abs() < 1e-6, "total={total}");
         assert_eq!(agg.reports(), 5000);
+    }
+
+    /// A point query debiases only the queried counters, bit-identical
+    /// to picking the same items out of the full-domain estimate.
+    #[test]
+    fn estimate_items_is_bit_identical_to_full_estimate() {
+        let oracle = DirectEncoding::new(10, Epsilon::new(1.0).unwrap()).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut agg = oracle.new_aggregator();
+        for u in 0..3_000u64 {
+            agg.accumulate(&oracle.randomize(u % 7, &mut rng));
+        }
+        let items = [9u64, 0, 3, 3, 6];
+        crate::fo::assert_point_queries_match_full_estimate(&agg, &items);
     }
 
     #[test]

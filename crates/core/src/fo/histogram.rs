@@ -21,8 +21,9 @@
 //! The implementation therefore samples the induced Bernoulli channel
 //! directly through the unary family's sampler ([`crate::fo::batch`]) —
 //! `q = ½e^{−εθ/2}` is at least 0.30 at ε = 1, so from `d = 64` on it
-//! compares 64 positions per RNG word (~7.3 uniform draws per 64 bits
-//! instead of 64 Laplace draws) — and never materializes the continuous
+//! compares 64 positions per RNG word (~8.46 uniform draws per 64 bits —
+//! an 8-draw prefix plus a short tail — instead of 64 Laplace draws) —
+//! and never materializes the continuous
 //! noise it marginalizes out.
 
 use super::counters::{self, CounterState};
@@ -502,11 +503,14 @@ impl FoAggregator for TheAggregator {
     }
 
     fn estimate(&self) -> Vec<f64> {
-        let n = self.n as f64;
-        self.ones
-            .iter()
-            .map(|&o| (o as f64 - n * self.q) / (self.p - self.q))
-            .collect()
+        let counts = self.ones.iter().copied();
+        super::debiased_counts(self.n, self.p, self.q, counts)
+    }
+
+    /// Debiases only the queried counters.
+    fn estimate_items(&self, items: &[u64]) -> Vec<f64> {
+        let counts = items.iter().map(|&v| self.ones[v as usize]);
+        super::debiased_counts(self.n, self.p, self.q, counts)
     }
 
     fn merge(&mut self, other: Self) -> crate::Result<()> {
@@ -565,6 +569,20 @@ mod tests {
             let sd = she.count_variance(n, 0.25).sqrt();
             assert!((e - n as f64 / 4.0).abs() < 5.0 * sd, "item {i}: {e}");
         }
+    }
+
+    /// A point query debiases only the queried counters, bit-identical
+    /// to picking the same items out of the full-domain estimate.
+    #[test]
+    fn the_estimate_items_is_bit_identical_to_full_estimate() {
+        let the = ThresholdHistogramEncoding::new(100, eps(1.0)).unwrap();
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut agg = the.new_aggregator();
+        for u in 0..3_000u64 {
+            agg.accumulate(&the.randomize(u % 13, &mut rng));
+        }
+        let items = [99u64, 0, 7, 7, 12, 50];
+        crate::fo::assert_point_queries_match_full_estimate(&agg, &items);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! | Mechanism | Module | Descriptor kind ([`crate::protocol::MechanismKind`]) | Report size | `Var*/n` (noise floor, counts) | Randomize cost (uniform draws / user) | Aggregation: memory, full `estimate()` | Snapshot BLOB ([`crate::snapshot`]) |
 //! |---|---|---|---|---|---|---|---|
 //! | Direct encoding (GRR) | [`direct`] | `DirectEncoding` | `log d` bits | `(d−2+e^ε)/(e^ε−1)²` | `≤ 2` | `O(d)`, `O(d)` | `O(d)` varints |
-//! | Symmetric unary (SUE, basic RAPPOR) | [`unary`] | `SymmetricUnary` | `d` bits | `e^{ε/2}/(e^{ε/2}−1)²` | `1 + ≈7.3·⌈d/64⌉` (word-parallel) if `d ≥ 64`; else `2 + (d−1)·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
-//! | Optimized unary (OUE) | [`unary`] | `OptimizedUnary` | `d` bits | `4e^ε/(e^ε−1)²` | `1 + ≈7.3·⌈d/64⌉` (word-parallel) if `d ≥ 64`; else `2 + (d−1)·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
+//! | Symmetric unary (SUE, basic RAPPOR) | [`unary`] | `SymmetricUnary` | `d` bits | `e^{ε/2}/(e^{ε/2}−1)²` | `1 + ≈8.46·⌈d/64⌉` (word-parallel: 8-position prefix + tail) if `d ≥ 64`; else `2 + (d−1)·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
+//! | Optimized unary (OUE) | [`unary`] | `OptimizedUnary` | `d` bits | `4e^ε/(e^ε−1)²` | `1 + ≈8.46·⌈d/64⌉` (word-parallel: 8-position prefix + tail) if `d ≥ 64`; else `2 + (d−1)·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
 //! | Summation histogram (SHE) | [`histogram`] | `SummationHistogram` | `d` floats | `8/ε²` | `d` (one batched Laplace block) | `O(d)`, `O(d)` | `8d` B (exact `f64` bits) |
 //! | Threshold histogram (THE) | [`histogram`] | `ThresholdHistogram` | `d` bits | optimized numerically | as SUE/OUE (word-parallel from `d = 64`) | `O(d)`, `O(d)` | `O(d)` varints |
 //! | Binary local hashing (BLH) | [`hashing`] | `BinaryLocalHashing` (registry steers to OLH-C) | 64+1 bits | `(e^ε+1)²/(e^ε−1)²` | `≤ 3` | `O(n)`, `O(n·d)` | `≈ 9n` B (report list) |
@@ -35,9 +35,10 @@
 //! the batch path. The unary family (`d` bits, one independent Bernoulli
 //! per position) never pays `d` draws ([`batch`]): reports of at least
 //! one full word (`d ≥ 64`) compare 64 positions per RNG word, settling
-//! a word in ~7.3 draws whatever `q` is, and shorter ones skip
-//! geometrically from one set bit to the next, `2 + (d−1)·q` draws in
-//! all. The sampler is fixed per oracle from `d`; SHE is the one
+//! a word in a fixed 8-draw prefix plus a short tail for the ~1 word in
+//! 5 with a lane still open (~8.46 draws whatever `q` is), and shorter
+//! ones skip geometrically from one set bit to the next, `2 + (d−1)·q`
+//! draws in all. The sampler is fixed per oracle from `d`; SHE is the one
 //! mechanism that inherently needs a continuous noise draw per
 //! coordinate, so it draws the whole report's uniforms as one block and
 //! maps them through a branchless inverse-CDF transform
@@ -323,7 +324,9 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
 
     /// Unbiased estimated counts for a subset of items — override when a
     /// full-domain sweep would be wasteful (local hashing with massive
-    /// domains, as used by prefix-extension heavy hitters).
+    /// domains, as used by prefix-extension heavy hitters; the
+    /// one-counter-per-item oracles, which debias only the queried
+    /// counters).
     fn estimate_items(&self, items: &[u64]) -> Vec<f64> {
         let all = self.estimate();
         items.iter().map(|&v| all[v as usize]).collect()
@@ -393,6 +396,33 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
             "this aggregator's state has no exact merge inverse".into(),
         ))
     }
+}
+
+/// The unbiased count estimator shared by every oracle whose state is one
+/// counter per item — unary (SUE/OUE), THE, GRR and SS: each counter `c`
+/// debiased as `(c − n·q)/(p − q)`, where `p` and `q` are the
+/// probabilities that a report counts toward a holder's and a
+/// non-holder's cell. Serves both `estimate` (every counter) and
+/// `estimate_items` (only the queried counters), so the two agree bit
+/// for bit.
+pub(crate) fn debiased_counts(
+    n: usize,
+    p: f64,
+    q: f64,
+    counts: impl Iterator<Item = u64>,
+) -> Vec<f64> {
+    let n = n as f64;
+    counts.map(|c| (c as f64 - n * q) / (p - q)).collect()
+}
+
+/// Asserts that `agg.estimate_items(items)` is bit-identical to picking
+/// `items` out of `agg.estimate()`.
+#[cfg(test)]
+pub(crate) fn assert_point_queries_match_full_estimate(agg: &impl FoAggregator, items: &[u64]) {
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let full = agg.estimate();
+    let picked = items.iter().map(|&v| full[v as usize]).collect();
+    assert_eq!(bits(agg.estimate_items(items)), bits(picked));
 }
 
 /// Shared body of the per-position-counter

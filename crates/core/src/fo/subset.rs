@@ -258,11 +258,14 @@ impl FoAggregator for SsAggregator {
     }
 
     fn estimate(&self) -> Vec<f64> {
-        let n = self.n as f64;
-        self.inclusions
-            .iter()
-            .map(|&c| (c as f64 - n * self.q) / (self.p - self.q))
-            .collect()
+        let counts = self.inclusions.iter().copied();
+        super::debiased_counts(self.n, self.p, self.q, counts)
+    }
+
+    /// Debiases only the queried counters.
+    fn estimate_items(&self, items: &[u64]) -> Vec<f64> {
+        let counts = items.iter().map(|&v| self.inclusions[v as usize]);
+        super::debiased_counts(self.n, self.p, self.q, counts)
     }
 
     fn merge(&mut self, other: Self) -> crate::Result<()> {
@@ -382,6 +385,20 @@ mod tests {
                 "item {i}: est={e} sd={sd}"
             );
         }
+    }
+
+    /// A point query debiases only the queried counters, bit-identical
+    /// to picking the same items out of the full-domain estimate.
+    #[test]
+    fn estimate_items_is_bit_identical_to_full_estimate() {
+        let ss = SubsetSelection::new(16, eps(1.0));
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut agg = ss.new_aggregator();
+        for u in 0..3_000u64 {
+            agg.accumulate(&ss.randomize(u % 5, &mut rng));
+        }
+        let items = [15u64, 0, 4, 4, 9];
+        crate::fo::assert_point_queries_match_full_estimate(&agg, &items);
     }
 
     #[test]

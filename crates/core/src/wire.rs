@@ -901,15 +901,23 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
         let mut header = vec![WIRE_VERSION, tag::BITS];
         header.extend_from_slice(&lbuf[..llen]);
         header.extend_from_slice(&dbuf[..dlen]);
-        // Payload bytes of the last word; the words before it are whole.
-        let last = d.div_ceil(64) - 1;
-        let tail = nbytes - 8 * last;
-        out.reserve(inputs.len() * (header.len() + nbytes));
-        for &v in inputs {
-            out.extend_from_slice(&header);
+        // The batch is sized once and each frame written in place, so a
+        // whole word is one fixed 8-byte store: appending words to the
+        // `Vec` compiles to a capacity check and a `memcpy` call per word.
+        let start = out.len();
+        out.resize(start + inputs.len() * (header.len() + nbytes), 0);
+        let frames = out[start..].chunks_exact_mut(header.len() + nbytes);
+        for (&v, frame) in inputs.iter().zip(frames) {
+            let (head, payload) = frame.split_at_mut(header.len());
+            head.copy_from_slice(&header);
+            // Payload bytes of the last word; the words before it are whole.
+            let (whole, tail) = payload.split_at_mut(8 * (d.div_ceil(64) - 1));
             self.0.sample_words(v, rng, |w, bits| {
                 let bytes = bits.to_le_bytes();
-                out.extend_from_slice(if w < last { &bytes } else { &bytes[..tail] });
+                match whole.get_mut(8 * w..8 * w + 8) {
+                    Some(word) => word.copy_from_slice(&bytes),
+                    None => tail.copy_from_slice(&bytes[..tail.len()]),
+                }
             });
         }
         Ok(())
