@@ -147,7 +147,6 @@ impl CostModel for CmsCost {
             bytes_per_report: frame_bytes(cms_payload(k, m)),
             decode_ops: cms_decode_ops(k, spec),
             subtractive: true,
-            linear_memory: false,
         })
     }
 }
@@ -202,7 +201,6 @@ impl CostModel for HcmsCost {
             bytes_per_report: frame_bytes(hcms_payload(k, m)),
             decode_ops: hcms_decode_ops(k, m, spec),
             subtractive: true,
-            linear_memory: false,
         })
     }
 }

@@ -12,8 +12,8 @@
 //! contributes its own analytic entry exactly the way it contributes its
 //! wire factory:
 //!
-//! * [`CostBook::core`] registers the ten `ldp-core` oracles
-//!   (GRR, SUE, OUE, SHE, THE, BLH, OLH, OLH-C, HR, SS);
+//! * [`CostBook::core`] registers the eight `ldp-core` oracles a
+//!   descriptor can name (GRR, SUE, OUE, SHE, THE, OLH-C, HR, SS);
 //! * `ldp_apple::register_cost_models` adds CMS and HCMS;
 //! * `ldp_microsoft::register_cost_models` adds dBitFlip and 1BitMean.
 //!
@@ -30,9 +30,9 @@
 //! and the per-mechanism entries.
 
 use crate::fo::{
-    BinaryLocalHashing, CohortLocalHashing, DirectEncoding, FrequencyOracle, HadamardResponse,
-    OptimizedLocalHashing, OptimizedUnaryEncoding, SubsetSelection, SummationHistogramEncoding,
-    SymmetricUnaryEncoding, ThresholdHistogramEncoding,
+    CohortLocalHashing, DirectEncoding, FrequencyOracle, HadamardResponse, OptimizedUnaryEncoding,
+    SubsetSelection, SummationHistogramEncoding, SymmetricUnaryEncoding,
+    ThresholdHistogramEncoding,
 };
 use crate::protocol::{MechanismKind, ProtocolDescriptor};
 use crate::{Epsilon, LdpError, Result};
@@ -81,13 +81,8 @@ pub struct WorkloadSpec {
     /// What estimation will be asked for.
     pub query_shape: QueryShape,
     /// Require exact subtractive retirement (`FoAggregator::try_subtract`)
-    /// — windowed/longitudinal deployments set this so SHE and raw
-    /// local hashing are excluded.
+    /// — windowed/longitudinal deployments set this so SHE is excluded.
     pub require_subtractive: bool,
-    /// Opt in to `O(n)`-memory raw BLH/OLH plans (ablations only). The
-    /// planner never emits a linear-memory plan without this, mirroring
-    /// the registry's `allow_linear_memory` steering gate.
-    pub allow_linear_memory: bool,
 }
 
 impl WorkloadSpec {
@@ -104,7 +99,6 @@ impl WorkloadSpec {
             decode_budget: None,
             query_shape: QueryShape::FullDomain,
             require_subtractive: false,
-            allow_linear_memory: false,
         }
     }
 
@@ -140,13 +134,6 @@ impl WorkloadSpec {
     #[must_use]
     pub fn with_subtractive(mut self) -> Self {
         self.require_subtractive = true;
-        self
-    }
-
-    /// Opts in to `O(n)`-memory raw local-hashing plans.
-    #[must_use]
-    pub fn with_linear_memory(mut self) -> Self {
-        self.allow_linear_memory = true;
         self
     }
 
@@ -227,8 +214,6 @@ pub struct CostEstimate {
     pub decode_ops: u64,
     /// Whether the aggregator supports exact subtractive retirement.
     pub subtractive: bool,
-    /// Whether the aggregator's memory grows with `n` (raw BLH/OLH).
-    pub linear_memory: bool,
 }
 
 impl CostEstimate {
@@ -255,9 +240,6 @@ impl CostEstimate {
             }
         }
         if spec.require_subtractive && !self.subtractive {
-            return false;
-        }
-        if self.linear_memory && !spec.allow_linear_memory {
             return false;
         }
         true
@@ -322,8 +304,8 @@ impl CostBook {
         }
     }
 
-    /// A book with every `ldp-core` frequency oracle priced: GRR, SUE,
-    /// OUE, SHE, THE, BLH, OLH, OLH-C, HR, SS.
+    /// A book with every `ldp-core` frequency oracle a descriptor can
+    /// name priced: GRR, SUE, OUE, SHE, THE, OLH-C, HR, SS.
     #[must_use]
     pub fn core() -> Self {
         let mut book = Self::empty();
@@ -333,8 +315,6 @@ impl CostBook {
             MechanismKind::OptimizedUnary,
             MechanismKind::SummationHistogram,
             MechanismKind::ThresholdHistogram,
-            MechanismKind::BinaryLocalHashing,
-            MechanismKind::OptimizedLocalHashing,
             MechanismKind::CohortLocalHashing,
             MechanismKind::HadamardResponse,
             MechanismKind::SubsetSelection,
@@ -387,10 +367,6 @@ pub fn frame_bytes(payload: u64) -> u64 {
 /// prediction (probabilities, seeds, counters' vec headers).
 pub const STATE_OVERHEAD_BYTES: u64 = 64;
 
-/// Bytes charged per retained raw report in the linear-memory BLH/OLH
-/// aggregator (per-user seed + bucket).
-pub const RAW_REPORT_STATE_BYTES: u64 = 24;
-
 /// The `ldp-core` oracle entries: one instance per core
 /// [`MechanismKind`], delegating variance to the oracle's own
 /// [`FrequencyOracle::noise_floor_variance`].
@@ -438,32 +414,14 @@ impl CostModel for CoreOracleCost {
             return Ok(None); // frequency oracles do not answer mean queries
         }
         let kind = self.kind;
-        // Structural exclusions the planner must never override: SHE's
-        // float sums and the raw-report list have no exact merge inverse,
-        // and raw BLH/OLH memory grows with n.
-        if spec.require_subtractive
-            && matches!(
-                kind,
-                MechanismKind::SummationHistogram
-                    | MechanismKind::BinaryLocalHashing
-                    | MechanismKind::OptimizedLocalHashing
-            )
-        {
-            return Ok(None);
-        }
-        let linear = matches!(
-            kind,
-            MechanismKind::BinaryLocalHashing | MechanismKind::OptimizedLocalHashing
-        );
-        if linear && !spec.allow_linear_memory {
+        // A structural exclusion the planner must never override: SHE's
+        // float sums have no exact merge inverse.
+        if spec.require_subtractive && kind == MechanismKind::SummationHistogram {
             return Ok(None);
         }
         let mut builder = ProtocolDescriptor::builder(kind)
             .domain_size(spec.domain_size)
             .epsilon(spec.epsilon);
-        if linear {
-            builder = builder.allow_linear_memory();
-        }
         if kind == MechanismKind::CohortLocalHashing {
             let eps = spec.epsilon_checked()?;
             let g = CohortLocalHashing::optimized(spec.domain_size, 1, eps).g();
@@ -492,51 +450,36 @@ impl CostModel for CoreOracleCost {
         let n_usize = usize::try_from(n).unwrap_or(usize::MAX);
         // Delegate σ² to the oracle's own formula; per-kind resource rows
         // follow the DESIGN.md aggregation table.
-        let (variance, payload, memory, decode, subtractive, linear_memory) = match self.kind {
+        let (variance, payload, memory, decode, subtractive) = match self.kind {
             MechanismKind::DirectEncoding => {
                 let m = DirectEncoding::new(d, eps)?;
                 let var = m.noise_floor_variance(n_usize);
-                (var, uvarint_len(d - 1), d * 8, nq, true, false)
+                (var, uvarint_len(d - 1), d * 8, nq, true)
             }
             MechanismKind::SymmetricUnary => {
                 let m = SymmetricUnaryEncoding::new(d, eps)?;
                 let var = m.noise_floor_variance(n_usize);
                 let payload = uvarint_len(d) + d.div_ceil(8);
-                (var, payload, d * 8, nq, true, false)
+                (var, payload, d * 8, nq, true)
             }
             MechanismKind::OptimizedUnary => {
                 let m = OptimizedUnaryEncoding::new(d, eps)?;
                 let var = m.noise_floor_variance(n_usize);
                 let payload = uvarint_len(d) + d.div_ceil(8);
-                (var, payload, d * 8, nq, true, false)
+                (var, payload, d * 8, nq, true)
             }
             MechanismKind::SummationHistogram => {
                 let m = SummationHistogramEncoding::new(d, eps)?;
                 let var = m.noise_floor_variance(n_usize);
                 // f64 noise sums: payload is 8 bytes per item, and the
                 // float state has no exact merge inverse.
-                (var, uvarint_len(d) + d * 8, d * 8, nq, false, false)
+                (var, uvarint_len(d) + d * 8, d * 8, nq, false)
             }
             MechanismKind::ThresholdHistogram => {
                 let m = ThresholdHistogramEncoding::new(d, eps)?;
                 let var = m.noise_floor_variance(n_usize);
                 let payload = uvarint_len(d) + d.div_ceil(8);
-                (var, payload, d * 8, nq, true, false)
-            }
-            MechanismKind::BinaryLocalHashing => {
-                let m = BinaryLocalHashing::new(d, eps);
-                let var = m.noise_floor_variance(n_usize);
-                // Raw report list: seed + bucket per user; estimates
-                // rescan every report per queried item.
-                let memory = n.saturating_mul(RAW_REPORT_STATE_BYTES);
-                (var, 8 + 1, memory, n.saturating_mul(nq), false, true)
-            }
-            MechanismKind::OptimizedLocalHashing => {
-                let m = OptimizedLocalHashing::new(d, eps);
-                let var = m.noise_floor_variance(n_usize);
-                let payload = 8 + uvarint_len(m.g() - 1);
-                let memory = n.saturating_mul(RAW_REPORT_STATE_BYTES);
-                (var, payload, memory, n.saturating_mul(nq), false, true)
+                (var, payload, d * 8, nq, true)
             }
             MechanismKind::CohortLocalHashing => {
                 let m = CohortLocalHashing::optimized_with_seed(
@@ -548,14 +491,7 @@ impl CostModel for CoreOracleCost {
                 let var = m.noise_floor_variance(n_usize);
                 let c = u64::from(desc.cohorts());
                 let payload = uvarint_len(c.saturating_sub(1)) + uvarint_len(m.g() - 1);
-                (
-                    var,
-                    payload,
-                    c * m.g() * 8,
-                    c.saturating_mul(nq),
-                    true,
-                    false,
-                )
+                (var, payload, c * m.g() * 8, c.saturating_mul(nq), true)
             }
             MechanismKind::HadamardResponse => {
                 let m = HadamardResponse::new(d, eps);
@@ -564,13 +500,13 @@ impl CostModel for CoreOracleCost {
                 let payload = uvarint_len(sm - 1) + 1;
                 // One inverse FWHT (m·log m) then per-item reads.
                 let decode = sm.saturating_mul(log2_ceil(sm)).saturating_add(nq);
-                (var, payload, sm * 8, decode, true, false)
+                (var, payload, sm * 8, decode, true)
             }
             MechanismKind::SubsetSelection => {
                 let m = SubsetSelection::new(d, eps);
                 let var = m.noise_floor_variance(n_usize);
                 let payload = uvarint_len(m.k()) + m.k() * uvarint_len(d - 1);
-                (var, payload, d * 8, nq, true, false)
+                (var, payload, d * 8, nq, true)
             }
             other => {
                 return Err(LdpError::UnsupportedMechanism(format!(
@@ -585,7 +521,6 @@ impl CostModel for CoreOracleCost {
             bytes_per_report: frame_bytes(payload),
             decode_ops: decode,
             subtractive,
-            linear_memory,
         })
     }
 }
@@ -601,7 +536,7 @@ mod tests {
     #[test]
     fn core_book_covers_all_core_oracles() {
         let book = CostBook::core();
-        assert_eq!(book.kinds().len(), 10);
+        assert_eq!(book.kinds().len(), 8);
         for kind in book.kinds() {
             assert!(book.get(kind).is_some());
         }
@@ -624,38 +559,15 @@ mod tests {
     }
 
     #[test]
-    fn raw_hashing_requires_linear_memory_opt_in() {
+    fn subtractive_requirement_excludes_float_state() {
         let book = CostBook::core();
-        for kind in [
-            MechanismKind::BinaryLocalHashing,
-            MechanismKind::OptimizedLocalHashing,
-        ] {
-            let model = book.get(kind).unwrap();
-            assert!(model.tune(&spec(64, 1000, 1.0)).unwrap().is_none());
-            let desc = model
-                .tune(&spec(64, 1000, 1.0).with_linear_memory())
-                .unwrap()
-                .expect("opt-in enables raw hashing");
-            assert!(desc.linear_memory_allowed());
-            let cost = model
-                .cost(&desc, &spec(64, 1000, 1.0).with_linear_memory())
-                .unwrap();
-            assert!(cost.linear_memory);
-            assert!(!cost.subtractive);
-        }
-    }
-
-    #[test]
-    fn subtractive_requirement_excludes_float_and_raw_state() {
-        let book = CostBook::core();
-        let s = spec(64, 1000, 1.0).with_subtractive().with_linear_memory();
-        for kind in [
-            MechanismKind::SummationHistogram,
-            MechanismKind::BinaryLocalHashing,
-            MechanismKind::OptimizedLocalHashing,
-        ] {
-            assert!(book.get(kind).unwrap().tune(&s).unwrap().is_none());
-        }
+        let s = spec(64, 1000, 1.0).with_subtractive();
+        assert!(book
+            .get(MechanismKind::SummationHistogram)
+            .unwrap()
+            .tune(&s)
+            .unwrap()
+            .is_none());
         // The count-state oracles still serve it.
         assert!(book
             .get(MechanismKind::OptimizedUnary)

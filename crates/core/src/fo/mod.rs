@@ -14,8 +14,8 @@
 //! | Optimized unary (OUE) | [`unary`] | `OptimizedUnary` | `d` bits | `4e^ε/(e^ε−1)²` | `1 + ≈8.46·⌈d/64⌉` (word-parallel: 8-position prefix + tail) if `d ≥ 64`; else `2 + (d−1)·q` (geometric skip) | `O(d)`, `O(d)` | `O(d)` varints |
 //! | Summation histogram (SHE) | [`histogram`] | `SummationHistogram` | `d` floats | `8/ε²` | `d` (one batched Laplace block) | `O(d)`, `O(d)` | `8d` B (exact `f64` bits) |
 //! | Threshold histogram (THE) | [`histogram`] | `ThresholdHistogram` | `d` bits | optimized numerically | as SUE/OUE (word-parallel from `d = 64`) | `O(d)`, `O(d)` | `O(d)` varints |
-//! | Binary local hashing (BLH) | [`hashing`] | `BinaryLocalHashing` (registry steers to OLH-C) | 64+1 bits | `(e^ε+1)²/(e^ε−1)²` | `≤ 3` | `O(n)`, `O(n·d)` | `≈ 9n` B (report list) |
-//! | Optimized local hashing (OLH) | [`hashing`] | `OptimizedLocalHashing` (registry steers to OLH-C) | 64+log g bits | `4e^ε/(e^ε−1)²` | `≤ 3` | `O(n)`, `O(n·d)` | `≈ 9n` B (report list) |
+//! | Binary local hashing (BLH) | [`hashing`] | — (in-process only) | 64+1 bits | `(e^ε+1)²/(e^ε−1)²` | `≤ 3` | `O(n)`, `O(n·d)` | `≈ 9n` B (report list) |
+//! | Optimized local hashing (OLH) | [`hashing`] | — (in-process only) | 64+log g bits | `4e^ε/(e^ε−1)²` | `≤ 3` | `O(n)`, `O(n·d)` | `≈ 9n` B (report list) |
 //! | Cohort local hashing (OLH-C) | [`hashing`] | `CohortLocalHashing` | log C + log g bits | `4e^ε/(e^ε−1)²` + collision term | `≤ 3` | `O(C·g)`, `O(C·d)` | `O(C·g)` varints |
 //! | Hadamard response (HR) | [`hadamard`] | `HadamardResponse` | log m + 1 bits | `≈4e^ε/(e^ε−1)²` | `2` | `O(m)`, `O(m log m)` (tiled FWHT) | `O(m)` varints |
 //! | Subset selection (SS) | [`subset`] | `SubsetSelection` | `k·log d` bits | minimax-optimal | `1 + k` | `O(d)`, `O(d)` | `O(d)` varints |
@@ -30,6 +30,8 @@
 //! instantiates the mechanism behind the erased wire API
 //! ([`crate::wire::ErasedMechanism`]), so a collector service ingests
 //! its serialized reports without compile-time knowledge of the type.
+//! Raw BLH/OLH have no kind: their `O(n)` report list stays in-process,
+//! and OLH-C is local hashing's service face.
 //!
 //! The randomization-cost column counts uniform RNG draws per report on
 //! the batch path. The unary family (`d` bits, one independent Bernoulli

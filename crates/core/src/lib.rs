@@ -93,8 +93,8 @@ pub enum LdpError {
     /// inconsistent fields for its mechanism kind).
     InvalidDescriptor(String),
     /// The registry has no factory for the requested mechanism kind, or
-    /// refuses to build it (see the raw local-hashing steering note on
-    /// [`Registry::build`]).
+    /// a descriptor names a retired kind code (see
+    /// [`MechanismKind::from_code`]).
     UnsupportedMechanism(String),
     /// A wire frame (or serialized descriptor) declared a format version
     /// this build does not speak.

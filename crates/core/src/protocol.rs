@@ -23,22 +23,21 @@
 //!   deployments, and `ldp_workloads::service::workspace_registry`
 //!   assembles the whole workspace.
 //!
-//! ## Raw local hashing is steered away from
+//! ## Raw local hashing has no descriptor
 //!
-//! [`MechanismKind::BinaryLocalHashing`] / [`MechanismKind::OptimizedLocalHashing`]
-//! keep **every raw report** (`O(n)` memory, `O(n·d)` full-domain
-//! estimates) — a foot-gun behind a service API sized for millions of
-//! users. [`Registry::build`] therefore refuses them with a descriptive
-//! [`LdpError::UnsupportedMechanism`] steering the caller to
-//! [`MechanismKind::CohortLocalHashing`] (same privacy, same noise floor
-//! up to a `1/C` collision term, `O(C·g)` memory). The escape hatch for
-//! ablations and candidate-set-only workloads is explicit:
-//! [`ProtocolDescriptorBuilder::allow_linear_memory`].
+//! Raw BLH/OLH (fresh hash seed per user) keep **every report** — `O(n)`
+//! memory and `O(n·d)` full-domain estimates — so they stay in-process
+//! oracles ([`crate::fo::BinaryLocalHashing`],
+//! [`crate::fo::OptimizedLocalHashing`]) and no descriptor names them.
+//! Their kind codes 6 and 7 are retired: [`MechanismKind::from_code`]
+//! refuses them with an [`LdpError::UnsupportedMechanism`] steering the
+//! caller to [`MechanismKind::CohortLocalHashing`] (same privacy, same
+//! noise floor up to a `1/C` collision term, `O(C·g)` memory) or the
+//! planner. Descriptor byte 2 is reserved and must be `0`.
 
 use crate::fo::{
-    BinaryLocalHashing, CohortLocalHashing, DirectEncoding, HadamardResponse,
-    OptimizedLocalHashing, OptimizedUnaryEncoding, SubsetSelection, SummationHistogramEncoding,
-    SymmetricUnaryEncoding, ThresholdHistogramEncoding,
+    CohortLocalHashing, DirectEncoding, HadamardResponse, OptimizedUnaryEncoding, SubsetSelection,
+    SummationHistogramEncoding, SymmetricUnaryEncoding, ThresholdHistogramEncoding,
 };
 use crate::wire::{
     put_f64_le, put_u64_le, put_uvarint, ErasedBridge, ErasedMechanism, FusedUnaryMechanism,
@@ -54,7 +53,8 @@ pub const DESCRIPTOR_VERSION: u8 = 1;
 
 /// The mechanism families the workspace can instantiate from a
 /// descriptor. The `u8` code of each kind is part of the wire-stable
-/// descriptor schema — append new kinds, never renumber.
+/// descriptor schema — append new kinds, never renumber, and never reuse
+/// a retired code (6 and 7 named raw BLH/OLH).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MechanismKind {
     /// Direct encoding / generalized randomized response (GRR).
@@ -67,10 +67,6 @@ pub enum MechanismKind {
     SummationHistogram,
     /// Thresholding with histogram encoding (THE).
     ThresholdHistogram,
-    /// Binary local hashing (BLH) with fresh per-user seeds.
-    BinaryLocalHashing,
-    /// Optimized local hashing (OLH) with fresh per-user seeds.
-    OptimizedLocalHashing,
     /// Cohort-mode optimized local hashing (OLH-C).
     CohortLocalHashing,
     /// Hadamard response (HR).
@@ -89,14 +85,12 @@ pub enum MechanismKind {
 
 impl MechanismKind {
     /// All kinds, in code order.
-    pub const ALL: [MechanismKind; 14] = [
+    pub const ALL: [MechanismKind; 12] = [
         MechanismKind::DirectEncoding,
         MechanismKind::SymmetricUnary,
         MechanismKind::OptimizedUnary,
         MechanismKind::SummationHistogram,
         MechanismKind::ThresholdHistogram,
-        MechanismKind::BinaryLocalHashing,
-        MechanismKind::OptimizedLocalHashing,
         MechanismKind::CohortLocalHashing,
         MechanismKind::HadamardResponse,
         MechanismKind::SubsetSelection,
@@ -114,8 +108,6 @@ impl MechanismKind {
             MechanismKind::OptimizedUnary => 3,
             MechanismKind::SummationHistogram => 4,
             MechanismKind::ThresholdHistogram => 5,
-            MechanismKind::BinaryLocalHashing => 6,
-            MechanismKind::OptimizedLocalHashing => 7,
             MechanismKind::CohortLocalHashing => 8,
             MechanismKind::HadamardResponse => 9,
             MechanismKind::SubsetSelection => 10,
@@ -129,12 +121,26 @@ impl MechanismKind {
     /// Decodes a descriptor kind code.
     ///
     /// # Errors
-    /// [`LdpError::Malformed`] for an unknown code.
+    /// [`LdpError::UnsupportedMechanism`] for the retired raw BLH/OLH
+    /// codes 6 and 7, naming their bounded-memory replacement;
+    /// [`LdpError::Malformed`] for any other unknown code.
     pub fn from_code(code: u8) -> Result<Self> {
-        Self::ALL
-            .into_iter()
-            .find(|k| k.code() == code)
-            .ok_or_else(|| LdpError::Malformed(format!("unknown mechanism kind code {code}")))
+        if let Some(k) = Self::ALL.into_iter().find(|k| k.code() == code) {
+            return Ok(k);
+        }
+        if matches!(code, 6 | 7) {
+            return Err(LdpError::UnsupportedMechanism(format!(
+                "mechanism kind code {code} named raw {} (fresh per-user hash seeds), \
+                 which keeps every report: O(n) memory and O(n·d) full-domain \
+                 estimates. Use CohortLocalHashing (same privacy, same noise floor up \
+                 to a 1/C collision term, O(C·g) memory), or let the planner pick and \
+                 tune a mechanism for your budgets (ldp_planner::Planner::plan)",
+                if code == 6 { "BLH" } else { "OLH" }
+            )));
+        }
+        Err(LdpError::Malformed(format!(
+            "unknown mechanism kind code {code}"
+        )))
     }
 
     /// The short name used in experiment tables and error messages.
@@ -145,8 +151,6 @@ impl MechanismKind {
             MechanismKind::OptimizedUnary => "OUE",
             MechanismKind::SummationHistogram => "SHE",
             MechanismKind::ThresholdHistogram => "THE",
-            MechanismKind::BinaryLocalHashing => "BLH",
-            MechanismKind::OptimizedLocalHashing => "OLH",
             MechanismKind::CohortLocalHashing => "OLH-C",
             MechanismKind::HadamardResponse => "HR",
             MechanismKind::SubsetSelection => "SS",
@@ -176,7 +180,6 @@ pub struct ProtocolDescriptor {
     sketch_width: u32,
     bits_per_device: u32,
     max_value: f64,
-    allow_linear_memory: bool,
 }
 
 impl ProtocolDescriptor {
@@ -198,7 +201,6 @@ impl ProtocolDescriptor {
                 sketch_width: 0,
                 bits_per_device: 0,
                 max_value: 1.0,
-                allow_linear_memory: false,
             },
         }
     }
@@ -255,14 +257,8 @@ impl ProtocolDescriptor {
         self.max_value
     }
 
-    /// Whether the linear-memory escape hatch for raw local hashing was
-    /// taken (see [`ProtocolDescriptorBuilder::allow_linear_memory`]).
-    pub fn linear_memory_allowed(&self) -> bool {
-        self.allow_linear_memory
-    }
-
     /// Serializes the descriptor:
-    /// `[version u8] [kind u8] [flags u8] [d uvarint] [ε f64-LE]
+    /// `[version u8] [kind u8] [reserved u8 = 0] [d uvarint] [ε f64-LE]
     /// [cohorts uvarint] [hash_seed u64-LE] [rows uvarint]
     /// [width uvarint] [bits uvarint] [max f64-LE]`.
     #[must_use]
@@ -270,7 +266,7 @@ impl ProtocolDescriptor {
         let mut out = Vec::with_capacity(40);
         out.push(DESCRIPTOR_VERSION);
         out.push(self.kind.code());
-        out.push(u8::from(self.allow_linear_memory));
+        out.push(0);
         put_uvarint(&mut out, self.domain_size);
         put_f64_le(&mut out, self.epsilon);
         put_uvarint(&mut out, self.cohorts as u64);
@@ -314,9 +310,11 @@ impl ProtocolDescriptor {
             });
         }
         let kind = MechanismKind::from_code(r.u8()?)?;
-        let flags = r.u8()?;
-        if flags > 1 {
-            return Err(LdpError::Malformed(format!("unknown flag bits {flags:#x}")));
+        let reserved = r.u8()?;
+        if reserved != 0 {
+            return Err(LdpError::Malformed(format!(
+                "reserved descriptor byte must be 0, got {reserved:#x}"
+            )));
         }
         let domain_size = r.uvarint()?;
         let epsilon = r.f64_le()?;
@@ -332,18 +330,15 @@ impl ProtocolDescriptor {
         let max_value = r.f64_le()?;
         r.finish()?;
 
-        let mut b = Self::builder(kind)
+        Self::builder(kind)
             .domain_size(domain_size)
             .epsilon(epsilon)
             .cohorts(cohorts)
             .hash_seed(hash_seed)
             .sketch(sketch_rows, sketch_width)
             .bits_per_device(bits_per_device)
-            .max_value(max_value);
-        if flags & 1 != 0 {
-            b = b.allow_linear_memory();
-        }
-        b.build()
+            .max_value(max_value)
+            .build()
     }
 }
 
@@ -406,17 +401,6 @@ impl ProtocolDescriptorBuilder {
         self
     }
 
-    /// Opts in to the `O(n)`-memory raw local-hashing aggregator
-    /// (BLH/OLH with fresh per-user seeds), which [`Registry::build`]
-    /// otherwise refuses. Only appropriate for ablations and
-    /// candidate-set-only estimation; full-domain workloads should use
-    /// [`MechanismKind::CohortLocalHashing`].
-    #[must_use]
-    pub fn allow_linear_memory(mut self) -> Self {
-        self.desc.allow_linear_memory = true;
-        self
-    }
-
     /// Validates the parameter set and produces the descriptor.
     ///
     /// # Errors
@@ -426,6 +410,16 @@ impl ProtocolDescriptorBuilder {
         let d = self.desc;
         Epsilon::new(d.epsilon)?;
         let invalid = |msg: String| Err(LdpError::InvalidDescriptor(msg));
+        // Checked for every kind, not just 1BitMean: a NaN bound would
+        // make the descriptor unequal to itself, so a service could
+        // neither restore its own checkpoint nor merge with a peer.
+        if !(d.max_value.is_finite() && d.max_value > 0.0) {
+            return invalid(format!(
+                "{} needs a positive, finite input bound, got {}",
+                d.kind.name(),
+                d.max_value
+            ));
+        }
         match d.kind {
             MechanismKind::DirectEncoding
             | MechanismKind::SymmetricUnary
@@ -433,9 +427,7 @@ impl ProtocolDescriptorBuilder {
             | MechanismKind::SummationHistogram
             | MechanismKind::ThresholdHistogram
             | MechanismKind::SubsetSelection
-            | MechanismKind::HadamardResponse
-            | MechanismKind::BinaryLocalHashing
-            | MechanismKind::OptimizedLocalHashing => {
+            | MechanismKind::HadamardResponse => {
                 if d.domain_size < 2 {
                     return invalid(format!(
                         "{} needs a domain of at least 2 items, got {}",
@@ -493,14 +485,7 @@ impl ProtocolDescriptorBuilder {
                     ));
                 }
             }
-            MechanismKind::MicrosoftOneBitMean => {
-                if !(d.max_value.is_finite() && d.max_value > 0.0) {
-                    return invalid(format!(
-                        "1BitMean needs a positive, finite input bound, got {}",
-                        d.max_value
-                    ));
-                }
-            }
+            MechanismKind::MicrosoftOneBitMean => {}
         }
         Ok(d)
     }
@@ -540,8 +525,8 @@ impl Registry {
         }
     }
 
-    /// A registry with every `ldp-core` frequency oracle registered:
-    /// GRR, SUE, OUE, SHE, THE, BLH, OLH, OLH-C, HR, SS.
+    /// A registry with every `ldp-core` frequency oracle a descriptor
+    /// can name registered: GRR, SUE, OUE, SHE, THE, OLH-C, HR, SS.
     #[must_use]
     pub fn core() -> Self {
         let mut r = Self::empty();
@@ -588,26 +573,6 @@ impl Registry {
                     d.domain_size(),
                     d.epsilon_checked(),
                 )?),
-                d,
-            )
-        });
-        r.register(MechanismKind::BinaryLocalHashing, |d| {
-            refuse_linear_memory(d)?;
-            erase(
-                OracleMechanism(BinaryLocalHashing::new(
-                    d.domain_size(),
-                    d.epsilon_checked(),
-                )),
-                d,
-            )
-        });
-        r.register(MechanismKind::OptimizedLocalHashing, |d| {
-            refuse_linear_memory(d)?;
-            erase(
-                OracleMechanism(OptimizedLocalHashing::new(
-                    d.domain_size(),
-                    d.epsilon_checked(),
-                )),
                 d,
             )
         });
@@ -663,10 +628,8 @@ impl Registry {
     ///
     /// # Errors
     /// [`LdpError::UnsupportedMechanism`] when no factory is registered
-    /// for the kind, or when the kind is raw BLH/OLH without the
-    /// [`ProtocolDescriptorBuilder::allow_linear_memory`] escape hatch
-    /// (use [`MechanismKind::CohortLocalHashing`] instead); any
-    /// [`LdpError`] the factory's typed constructor surfaces.
+    /// for the kind; any [`LdpError`] the factory's typed constructor
+    /// surfaces.
     pub fn build(&self, descriptor: &ProtocolDescriptor) -> Result<Box<dyn ErasedMechanism>> {
         let factory = self
             .factories
@@ -691,24 +654,6 @@ where
     crate::wire::ReportOf<M>: crate::wire::WireReport,
 {
     Ok(Box::new(ErasedBridge::new(mech, descriptor.clone())))
-}
-
-/// The steering guard for raw local hashing: its aggregator keeps all
-/// `n` reports (`O(n)` memory, `O(n·d)` full-domain estimates).
-fn refuse_linear_memory(d: &ProtocolDescriptor) -> Result<()> {
-    if d.linear_memory_allowed() {
-        return Ok(());
-    }
-    Err(LdpError::UnsupportedMechanism(format!(
-        "{} keeps every raw report: O(n) memory and O(n·d) full-domain \
-         estimates, which does not scale behind a collector service. Use \
-         CohortLocalHashing (same privacy, same noise floor up to a 1/C \
-         collision term, O(C·g) memory), or let the planner pick and tune \
-         a mechanism for your budgets (ldp_planner::Planner::plan) — or, \
-         for ablations and candidate-set-only estimation, opt in \
-         explicitly with ProtocolDescriptorBuilder::allow_linear_memory()",
-        d.kind().name()
-    )))
 }
 
 #[cfg(test)]
@@ -771,8 +716,8 @@ mod tests {
             .build()
             .unwrap();
         let mut bytes = desc.to_bytes();
-        // ε is the f64 right after version, kind, flags, and the 1-byte
-        // domain varint.
+        // ε is the f64 right after version, kind, the reserved byte, and
+        // the 1-byte domain varint.
         bytes[4..12].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
         assert!(matches!(
             ProtocolDescriptor::from_bytes(&bytes),
@@ -811,38 +756,68 @@ mod tests {
     }
 
     #[test]
-    fn registry_steers_away_from_raw_local_hashing() {
-        let registry = Registry::core();
-        for kind in [
-            MechanismKind::BinaryLocalHashing,
-            MechanismKind::OptimizedLocalHashing,
-        ] {
-            let desc = ProtocolDescriptor::builder(kind)
-                .domain_size(32)
-                .epsilon(1.0)
-                .build()
-                .unwrap();
-            let err = registry.build(&desc).unwrap_err();
-            match err {
-                LdpError::UnsupportedMechanism(msg) => {
-                    assert!(
-                        msg.contains("CohortLocalHashing"),
-                        "steering message: {msg}"
-                    );
-                    assert!(msg.contains("Planner::plan"), "planner remedy: {msg}");
-                    assert!(msg.contains("allow_linear_memory"), "escape hatch: {msg}");
-                }
-                other => panic!("expected UnsupportedMechanism, got {other:?}"),
+    fn retired_raw_hashing_codes_steer_to_cohorts() {
+        let bytes = ProtocolDescriptor::builder(MechanismKind::DirectEncoding)
+            .domain_size(32)
+            .epsilon(1.0)
+            .build()
+            .unwrap()
+            .to_bytes();
+        for code in [6u8, 7] {
+            let mut retired = bytes.clone();
+            retired[1] = code;
+            for err in [
+                MechanismKind::from_code(code).unwrap_err(),
+                ProtocolDescriptor::from_bytes(&retired).unwrap_err(),
+            ] {
+                let LdpError::UnsupportedMechanism(msg) = err else {
+                    panic!("code {code}: expected UnsupportedMechanism, got {err:?}");
+                };
+                assert!(msg.contains("CohortLocalHashing"), "steering: {msg}");
+                assert!(msg.contains("Planner::plan"), "planner remedy: {msg}");
             }
-            // The documented escape hatch works.
-            let desc = ProtocolDescriptor::builder(kind)
-                .domain_size(32)
-                .epsilon(1.0)
-                .allow_linear_memory()
-                .build()
-                .unwrap();
-            assert!(registry.build(&desc).is_ok());
         }
+        assert!(matches!(
+            MechanismKind::from_code(0),
+            Err(LdpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn reserved_descriptor_byte_must_be_zero() {
+        let mut bytes = ProtocolDescriptor::builder(MechanismKind::CohortLocalHashing)
+            .domain_size(32)
+            .epsilon(1.0)
+            .build()
+            .unwrap()
+            .to_bytes();
+        assert_eq!(bytes[2], 0);
+        // 1 was the retired linear-memory opt-in flag.
+        bytes[2] = 1;
+        assert!(matches!(
+            ProtocolDescriptor::from_bytes(&bytes),
+            Err(LdpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn nan_input_bound_is_rejected_for_every_kind() {
+        let builder = ProtocolDescriptor::builder(MechanismKind::OptimizedUnary)
+            .domain_size(64)
+            .epsilon(1.0);
+        assert!(matches!(
+            builder.clone().max_value(f64::NAN).build(),
+            Err(LdpError::InvalidDescriptor(_))
+        ));
+        // The same descriptor arriving as bytes: max_value is the
+        // trailing f64.
+        let mut bytes = builder.build().unwrap().to_bytes();
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&f64::NAN.to_le_bytes());
+        assert!(matches!(
+            ProtocolDescriptor::from_bytes(&bytes),
+            Err(LdpError::InvalidDescriptor(_))
+        ));
     }
 
     #[test]

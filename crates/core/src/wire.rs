@@ -13,9 +13,10 @@
 //!   for the wrong mechanism without attempting a parse.
 //! * **[`WireReport`]** — the per-report-type codec:
 //!   [`encode_report`] / [`decode_report`] round-trip every report type
-//!   in the workspace (`u64`, [`BitVec`], `Vec<f64>`, `Vec<u64>`,
-//!   [`LhReport`], [`CohortLhReport`], [`HrReport`], `bool` here;
-//!   CMS/HCMS, dBitFlip, and RAPPOR reports in their own crates).
+//!   a descriptor can name (`u64`, [`BitVec`], `Vec<f64>`, `Vec<u64>`,
+//!   [`CohortLhReport`], [`HrReport`], `bool` here; CMS/HCMS, dBitFlip,
+//!   and RAPPOR reports in their own crates). Raw BLH/OLH reports have
+//!   no codec: those oracles run in-process only.
 //!   Decoding is **panic-free**: malformed, truncated, or wrong-version
 //!   bytes come back as [`LdpError`], never as a panic or an
 //!   out-of-bounds index.
@@ -47,7 +48,7 @@ use rand::{RngCore, SeedableRng};
 use std::any::Any;
 
 pub use crate::fo::hadamard::HrReport;
-pub use crate::fo::hashing::{CohortLhReport, LhReport};
+pub use crate::fo::hashing::CohortLhReport;
 
 /// The wire-format version this build encodes and accepts.
 pub const WIRE_VERSION: u8 = 1;
@@ -67,8 +68,8 @@ pub mod tag {
     pub const REAL_VEC: u8 = 3;
     /// `Vec<u64>` report (subset selection).
     pub const ITEM_SET: u8 = 4;
-    /// [`super::LhReport`] (random-seed BLH/OLH).
-    pub const LOCAL_HASH: u8 = 5;
+    // 5 named the raw BLH/OLH report, retired with its codec; never
+    // reuse it.
     /// [`super::CohortLhReport`] (cohort OLH).
     pub const COHORT_HASH: u8 = 6;
     /// [`super::HrReport`] (Hadamard response).
@@ -548,23 +549,6 @@ impl WireReport for Vec<u64> {
             self.push(r.uvarint()?);
         }
         Ok(())
-    }
-}
-
-impl WireReport for LhReport {
-    const TAG: u8 = tag::LOCAL_HASH;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        // The seed is uniform randomness: varints would only pad it.
-        put_u64_le(out, self.seed);
-        put_uvarint(out, self.bucket);
-    }
-
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self> {
-        Ok(Self {
-            seed: r.u64_le()?,
-            bucket: r.uvarint()?,
-        })
     }
 }
 
@@ -1581,13 +1565,13 @@ mod tests {
 
     #[test]
     fn truncation_rejects_everywhere() {
-        let frame = encode_report_vec(&LhReport {
-            seed: 42,
-            bucket: 3,
+        let frame = encode_report_vec(&HrReport {
+            index: 1 << 20,
+            sign: -1,
         });
         for cut in 0..frame.len() {
             assert!(
-                decode_report::<LhReport>(&frame[..cut]).is_err(),
+                decode_report::<HrReport>(&frame[..cut]).is_err(),
                 "cut at {cut} must fail"
             );
         }

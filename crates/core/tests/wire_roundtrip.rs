@@ -5,8 +5,7 @@
 //! `LdpError`.
 
 use ldp_core::wire::{
-    decode_report, encode_report_vec, next_frame, tag, CohortLhReport, HrReport, LhReport,
-    WIRE_VERSION,
+    decode_report, encode_report_vec, next_frame, tag, CohortLhReport, HrReport, WIRE_VERSION,
 };
 use ldp_core::LdpError;
 use ldp_sketch::BitVec;
@@ -93,13 +92,6 @@ proptest! {
     }
 
     #[test]
-    fn lh_report_roundtrips(seed in any::<u64>(), bucket in 0u64..1_000_000) {
-        let r = LhReport { seed, bucket };
-        check_roundtrip(r);
-        check_adversarial(&r);
-    }
-
-    #[test]
     fn cohort_report_roundtrips(cohort in any::<u32>(), bucket in any::<u32>()) {
         let r = CohortLhReport { cohort, bucket };
         check_roundtrip(r);
@@ -120,7 +112,6 @@ proptest! {
         let _ = decode_report::<BitVec>(&bytes);
         let _ = decode_report::<Vec<f64>>(&bytes);
         let _ = decode_report::<Vec<u64>>(&bytes);
-        let _ = decode_report::<LhReport>(&bytes);
         let _ = decode_report::<CohortLhReport>(&bytes);
         let _ = decode_report::<HrReport>(&bytes);
         let _ = decode_report::<bool>(&bytes);
@@ -136,7 +127,6 @@ fn tags_are_distinct() {
         tag::BITS,
         tag::REAL_VEC,
         tag::ITEM_SET,
-        tag::LOCAL_HASH,
         tag::COHORT_HASH,
         tag::HADAMARD,
         tag::BIT,

@@ -95,7 +95,6 @@ impl CostModel for DBitFlipCost {
             bytes_per_report: frame_bytes(dbit_payload(b, buckets)),
             decode_ops: spec.queried_items(),
             subtractive: true,
-            linear_memory: false,
         })
     }
 }
@@ -136,7 +135,6 @@ impl CostModel for OneBitMeanCost {
             bytes_per_report: frame_bytes(1),
             decode_ops: 1,
             subtractive: true,
-            linear_memory: false,
         })
     }
 }

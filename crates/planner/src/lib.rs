@@ -1,6 +1,6 @@
 //! # `ldp-planner` — a cost-based optimizer over the protocol registry
 //!
-//! The workspace ships fourteen [`MechanismKind`]s whose accuracy,
+//! The workspace ships twelve [`MechanismKind`]s whose accuracy,
 //! server memory, report size, and decode latency trade off sharply as
 //! `(d, n, ε)` move — and until this crate, an operator picked among
 //! them by hand. The planner turns the menu into a system:
@@ -12,9 +12,8 @@
 //!    (cohorts `C`, sketch `k×m`, bits-per-device `b`) for a
 //!    [`WorkloadSpec`] by analytic minimization under the spec's
 //!    budgets;
-//! 3. candidates that blow a budget, need subtractive retirement the
-//!    aggregator cannot give, or keep `O(n)` state without the spec's
-//!    explicit opt-in are dropped;
+//! 3. candidates that blow a budget or need subtractive retirement the
+//!    aggregator cannot give are dropped;
 //! 4. the survivors are **validated** — every emitted descriptor has
 //!    passed `ProtocolDescriptorBuilder::build`, round-tripped through
 //!    its wire bytes, and instantiated through the registry — and
@@ -113,11 +112,9 @@ impl Planner {
 
     /// Plans `spec`: tunes every registered mechanism's knobs under the
     /// budgets, drops candidates that violate a budget or structural
-    /// requirement (a linear-memory plan is never emitted unless
-    /// [`WorkloadSpec::allow_linear_memory`] is set), validates the
-    /// survivors end to end (descriptor bytes round-trip + registry
-    /// instantiation), and returns them ranked by predicted σ²
-    /// ascending (ties: decode cost, then kind code).
+    /// requirement, validates the survivors end to end (descriptor bytes
+    /// round-trip + registry instantiation), and returns them ranked by
+    /// predicted σ² ascending (ties: decode cost, then kind code).
     ///
     /// An empty vector means no registered mechanism fits the spec —
     /// see [`Planner::best`] for the erroring variant.
@@ -177,7 +174,7 @@ impl Planner {
     }
 }
 
-/// The full workspace cost book: the ten core oracles plus Apple
+/// The full workspace cost book: the eight core oracles plus Apple
 /// CMS/HCMS and Microsoft dBitFlip/1BitMean.
 #[must_use]
 pub fn workspace_cost_book() -> CostBook {
@@ -198,8 +195,8 @@ pub fn workspace_registry() -> Registry {
     registry
 }
 
-/// A [`Planner`] over the full workspace: all fourteen mechanism kinds
-/// priced and instantiable.
+/// A [`Planner`] over the full workspace: every mechanism kind priced
+/// and instantiable.
 #[must_use]
 pub fn workspace_planner() -> Planner {
     Planner::new(workspace_cost_book(), workspace_registry())
@@ -210,11 +207,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn workspace_book_covers_all_fourteen_kinds() {
+    fn workspace_book_and_registry_cover_every_kind() {
         let book = workspace_cost_book();
+        let registry = workspace_registry();
         assert_eq!(book.kinds().len(), MechanismKind::ALL.len());
         for kind in MechanismKind::ALL {
             assert!(book.get(kind).is_some(), "missing cost entry: {kind:?}");
+            assert!(registry.supports(kind), "missing factory: {kind:?}");
         }
     }
 
@@ -235,18 +234,6 @@ mod tests {
         let best = planner.best(&WorkloadSpec::new(1024, 50_000, 2.0)).unwrap();
         let mech = registry.build(&best.descriptor).unwrap();
         assert_eq!(mech.descriptor().kind(), best.kind());
-    }
-
-    #[test]
-    fn linear_memory_is_never_emitted_without_opt_in() {
-        let planner = workspace_planner();
-        let plans = planner.plan(&WorkloadSpec::new(64, 10_000, 1.0)).unwrap();
-        assert!(plans.iter().all(|p| !p.cost.linear_memory));
-        assert!(plans.iter().all(|p| !p.descriptor.linear_memory_allowed()));
-        let opted = planner
-            .plan(&WorkloadSpec::new(64, 10_000, 1.0).with_linear_memory())
-            .unwrap();
-        assert!(opted.iter().any(|p| p.cost.linear_memory));
     }
 
     #[test]

@@ -310,8 +310,8 @@ impl CollectorService {
     /// registry.
     ///
     /// # Errors
-    /// Whatever [`Registry::build`] surfaces (unknown kind, raw-OLH
-    /// steering, invalid parameters).
+    /// Whatever [`Registry::build`] surfaces (unregistered kind, invalid
+    /// parameters).
     pub fn from_descriptor(descriptor: &ProtocolDescriptor) -> Result<Self> {
         Self::with_registry(&workspace_registry(), descriptor)
     }

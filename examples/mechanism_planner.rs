@@ -3,7 +3,7 @@
 //! Run with: `cargo run --release --example mechanism_planner`
 //!
 //! Picking an LDP mechanism by hand means trading accuracy, server
-//! memory, report bytes, and decode latency across fourteen kinds and
+//! memory, report bytes, and decode latency across twelve kinds and
 //! their integer knobs (cohorts, hash range, sketch shape, bits per
 //! device). The planner owns that search: a [`WorkloadSpec`] states the
 //! workload and its budgets, and every returned [`Plan`] carries a

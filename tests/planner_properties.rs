@@ -70,10 +70,6 @@ fn assert_plan_contracts(planner: &Planner, spec: &WorkloadSpec) {
         if spec.require_subtractive {
             assert!(plan.cost.subtractive, "{kind:?}: non-subtractive plan");
         }
-        assert!(
-            spec.allow_linear_memory || !plan.cost.linear_memory,
-            "{kind:?}: linear-memory plan without opt-in"
-        );
 
         // Ranked: predicted variance is non-decreasing down the list.
         assert!(
@@ -114,23 +110,6 @@ proptest! {
         }
         assert_plan_contracts(&workspace_planner(), &spec);
     }
-}
-
-/// The linear-memory opt-in is honored end to end: with it, raw BLH/OLH
-/// plans appear and still satisfy every contract above.
-#[test]
-fn linear_memory_opt_in_plans_keep_the_contracts() {
-    let planner = workspace_planner();
-    let spec = WorkloadSpec::new(512, 40_000, 1.0).with_linear_memory();
-    assert_plan_contracts(&planner, &spec);
-    let plans = planner.plan(&spec).expect("plans");
-    assert!(
-        plans
-            .iter()
-            .any(|p| matches!(p.kind(), MechanismKind::BinaryLocalHashing)
-                || matches!(p.kind(), MechanismKind::OptimizedLocalHashing)),
-        "opt-in spec should surface a raw local-hashing plan"
-    );
 }
 
 // --- Empirical: predicted σ² vs measured noise-floor variance. ---

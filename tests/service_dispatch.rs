@@ -14,11 +14,11 @@ use ldp::apple::cms::CmsOracle;
 use ldp::apple::hcms::HcmsOracle;
 use ldp::core::fo::{
     CohortLocalHashing, DirectEncoding, FoAggregator, FrequencyOracle, HadamardResponse,
-    OptimizedLocalHashing, OptimizedUnaryEncoding, SubsetSelection, SummationHistogramEncoding,
-    SymmetricUnaryEncoding, ThresholdHistogramEncoding,
+    LocalHashing, OptimizedLocalHashing, OptimizedUnaryEncoding, SubsetSelection,
+    SummationHistogramEncoding, SymmetricUnaryEncoding, ThresholdHistogramEncoding,
 };
 use ldp::core::protocol::{MechanismKind, ProtocolDescriptor, DEFAULT_COHORT_SEED_BASE};
-use ldp::core::snapshot::{state_tag, SNAPSHOT_VERSION};
+use ldp::core::snapshot::{snapshot_vec, state_tag, SNAPSHOT_VERSION};
 use ldp::core::wire::{put_f64_le, put_u64_le, put_uvarint};
 use ldp::core::{Epsilon, LdpError};
 use ldp::microsoft::{DBitFlip, OneBitMean};
@@ -175,22 +175,6 @@ fn ss_bytes_match_generic_path() {
         &base(MechanismKind::SubsetSelection, d),
         SubsetSelection::new(d, Epsilon::new(1.0).unwrap()),
         1200,
-    );
-}
-
-#[test]
-fn raw_olh_escape_hatch_bytes_match_generic_path() {
-    let d = 32;
-    let desc = ProtocolDescriptor::builder(MechanismKind::OptimizedLocalHashing)
-        .domain_size(d)
-        .epsilon(1.0)
-        .allow_linear_memory()
-        .build()
-        .unwrap();
-    check_oracle(
-        &desc,
-        OptimizedLocalHashing::new(d, Epsilon::new(1.0).unwrap()),
-        1000,
     );
 }
 
@@ -520,14 +504,20 @@ fn forged_grr_checkpoint(desc: &ProtocolDescriptor, n: u64, counter0: u64) -> Ve
     put_uvarint(&mut state, 8);
     put_uvarint(&mut state, counter0);
     state.extend([0u8; 7]);
+    let mut snapshot = vec![SNAPSHOT_VERSION, state_tag::DIRECT];
+    put_uvarint(&mut snapshot, state.len() as u64);
+    snapshot.extend(state);
+    checkpoint_blob(&desc.to_bytes(), desc.stable_hash(), &snapshot)
+}
+
+/// A service checkpoint around raw descriptor bytes, their hash, and one
+/// aggregator snapshot BLOB.
+fn checkpoint_blob(desc_bytes: &[u8], desc_hash: u64, snapshot: &[u8]) -> Vec<u8> {
     let mut payload = Vec::new();
-    let desc_bytes = desc.to_bytes();
     put_uvarint(&mut payload, desc_bytes.len() as u64);
-    payload.extend_from_slice(&desc_bytes);
-    put_u64_le(&mut payload, desc.stable_hash());
-    payload.extend([SNAPSHOT_VERSION, state_tag::DIRECT]);
-    put_uvarint(&mut payload, state.len() as u64);
-    payload.extend(state);
+    payload.extend_from_slice(desc_bytes);
+    put_u64_le(&mut payload, desc_hash);
+    payload.extend_from_slice(snapshot);
     let mut out = vec![SNAPSHOT_VERSION, state_tag::SERVICE_CHECKPOINT];
     put_uvarint(&mut out, payload.len() as u64);
     out.extend(payload);
@@ -589,16 +579,50 @@ fn merge_tree_refuses_counters_that_would_wrap() {
     assert_eq!(ring.checkpoint(), before);
 }
 
+/// A checkpoint written by a raw BLH (`code` 6) or OLH (`code` 7)
+/// collector, when descriptors could still name them: the linear-memory
+/// flag in byte 2, a matching descriptor hash, and the raw report list.
+fn retired_raw_hashing_checkpoint(code: u8) -> Vec<u8> {
+    let d = 32;
+    let eps = Epsilon::new(1.0).unwrap();
+    let mut desc = base(MechanismKind::DirectEncoding, d).to_bytes();
+    desc[1] = code;
+    desc[2] = 1;
+    let hash = desc.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let g = if code == 6 {
+        2
+    } else {
+        OptimizedLocalHashing::new(d, eps).g()
+    };
+    let oracle = LocalHashing::with_g(d, g, eps);
+    let mut agg = oracle.new_aggregator();
+    agg.accumulate(&oracle.randomize(3, &mut StdRng::seed_from_u64(SEED)));
+    checkpoint_blob(&desc, hash, &snapshot_vec(&agg))
+}
+
+/// Raw BLH/OLH left the byte path: a checkpoint from one of their
+/// collectors is refused on load and in a rollup, with a typed error
+/// steering to cohort local hashing.
 #[test]
 fn registry_steers_raw_olh_to_cohorts() {
-    let desc = ProtocolDescriptor::builder(MechanismKind::OptimizedLocalHashing)
-        .domain_size(1 << 20)
-        .epsilon(1.0)
-        .build()
-        .unwrap();
-    let err = CollectorService::from_descriptor(&desc).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("CohortLocalHashing"), "steering: {msg}");
-    assert!(msg.contains("Planner::plan"), "planner remedy: {msg}");
-    assert!(msg.contains("allow_linear_memory"), "escape hatch: {msg}");
+    let honest = CollectorService::from_descriptor(&base(MechanismKind::DirectEncoding, 32))
+        .unwrap()
+        .checkpoint();
+    let tree = MergeTree::new(2).unwrap();
+    for code in [6u8, 7] {
+        let retired = retired_raw_hashing_checkpoint(code);
+        for err in [
+            CollectorService::from_checkpoint(&retired).unwrap_err(),
+            tree.merge_to_root(&[honest.clone(), retired.clone()])
+                .unwrap_err(),
+        ] {
+            let LdpError::UnsupportedMechanism(msg) = err else {
+                panic!("code {code}: expected UnsupportedMechanism, got {err:?}");
+            };
+            assert!(msg.contains("CohortLocalHashing"), "steering: {msg}");
+            assert!(msg.contains("Planner::plan"), "planner remedy: {msg}");
+        }
+    }
 }
