@@ -1,6 +1,5 @@
-//! Cost-model entries for the Apple sketches, registered into
-//! [`CostBook`] the same way [`crate::register_mechanisms`] plugs wire
-//! factories into a `Registry`.
+//! Cost-model entries for the Apple sketches, registered next to their
+//! wire factories by [`crate::register_mechanisms`].
 //!
 //! Variance numbers delegate to the sketches' own published formulas —
 //! [`CmsProtocol::approx_count_variance`] and
@@ -16,7 +15,7 @@
 use crate::cms::CmsProtocol;
 use crate::hcms::HcmsProtocol;
 use ldp_core::cost::{
-    frame_bytes, uvarint_len, CostBook, CostEstimate, CostModel, QueryShape, WorkloadSpec,
+    frame_bytes, log2_ceil, uvarint_len, CostEstimate, CostModel, QueryShape, WorkloadSpec,
     STATE_OVERHEAD_BYTES,
 };
 use ldp_core::protocol::{MechanismKind, ProtocolDescriptor};
@@ -29,12 +28,6 @@ const MAX_ROWS: u64 = 16;
 /// Hash seed planned descriptors carry (any fixed value works; clients
 /// and server must agree, which the descriptor guarantees).
 const PLANNED_SKETCH_SEED: u64 = 0x00c0_ffee_5eed_u64;
-
-/// Registers the Apple cost entries (CMS, HCMS) into `book`.
-pub fn register_cost_models(book: &mut CostBook) {
-    book.register(CmsCost);
-    book.register(HcmsCost);
-}
 
 /// CMS payload bytes: row varint + width varint + `m` packed bits.
 fn cms_payload(k: u64, m: u64) -> u64 {
@@ -80,11 +73,6 @@ fn tune_sketch(
     None
 }
 
-/// `⌈log2(m)⌉` for transform decode accounting.
-fn log2_ceil(m: u64) -> u64 {
-    64 - m.saturating_sub(1).leading_zeros() as u64
-}
-
 /// CMS decode: `k` hash evaluations per queried item.
 fn cms_decode_ops(k: u64, spec: &WorkloadSpec) -> u64 {
     k.saturating_mul(spec.queried_items())
@@ -98,7 +86,8 @@ fn hcms_decode_ops(k: u64, m: u64, spec: &WorkloadSpec) -> u64 {
         .saturating_add(k.saturating_mul(spec.queried_items()))
 }
 
-struct CmsCost;
+/// The CMS entry ([`MechanismKind::AppleCms`]).
+pub(crate) struct CmsCost;
 
 impl CostModel for CmsCost {
     fn kind(&self) -> MechanismKind {
@@ -151,7 +140,8 @@ impl CostModel for CmsCost {
     }
 }
 
-struct HcmsCost;
+/// The HCMS entry ([`MechanismKind::AppleHcms`]).
+pub(crate) struct HcmsCost;
 
 impl CostModel for HcmsCost {
     fn kind(&self) -> MechanismKind {
@@ -208,26 +198,27 @@ impl CostModel for HcmsCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Registry;
 
-    fn book() -> CostBook {
-        let mut b = CostBook::empty();
-        register_cost_models(&mut b);
-        b
+    fn registry() -> Registry {
+        let mut r = Registry::empty();
+        crate::register_mechanisms(&mut r);
+        r
     }
 
     #[test]
     fn registers_both_sketches() {
-        let b = book();
-        assert!(b.get(MechanismKind::AppleCms).is_some());
-        assert!(b.get(MechanismKind::AppleHcms).is_some());
+        let b = registry();
+        assert!(b.cost_model(MechanismKind::AppleCms).is_some());
+        assert!(b.cost_model(MechanismKind::AppleHcms).is_some());
     }
 
     #[test]
     fn unconstrained_tune_takes_the_widest_sketch() {
-        let b = book();
+        let b = registry();
         let spec = WorkloadSpec::new(1024, 100_000, 2.0);
         for kind in [MechanismKind::AppleCms, MechanismKind::AppleHcms] {
-            let desc = b.get(kind).unwrap().tune(&spec).unwrap().unwrap();
+            let desc = b.cost_model(kind).unwrap().tune(&spec).unwrap().unwrap();
             assert_eq!(u64::from(desc.sketch_width()), MAX_WIDTH);
             assert_eq!(u64::from(desc.sketch_rows()), MAX_ROWS);
             assert!(desc.sketch_width().is_power_of_two());
@@ -236,25 +227,25 @@ mod tests {
 
     #[test]
     fn report_budget_narrows_cms_but_not_hcms() {
-        let b = book();
+        let b = registry();
         // 64 bytes per frame: CMS must shrink m (frames carry m bits);
         // HCMS frames are a few bytes at any width.
         let spec = WorkloadSpec::new(1024, 100_000, 2.0).with_report_budget(64);
         let cms = b
-            .get(MechanismKind::AppleCms)
+            .cost_model(MechanismKind::AppleCms)
             .unwrap()
             .tune(&spec)
             .unwrap()
             .unwrap();
         assert!(u64::from(cms.sketch_width()) < MAX_WIDTH);
         let cms_cost = b
-            .get(MechanismKind::AppleCms)
+            .cost_model(MechanismKind::AppleCms)
             .unwrap()
             .cost(&cms, &spec)
             .unwrap();
         assert!(cms_cost.bytes_per_report <= 64);
         let hcms = b
-            .get(MechanismKind::AppleHcms)
+            .cost_model(MechanismKind::AppleHcms)
             .unwrap()
             .tune(&spec)
             .unwrap()
@@ -264,10 +255,10 @@ mod tests {
 
     #[test]
     fn memory_budget_shrinks_the_sketch() {
-        let b = book();
+        let b = registry();
         let spec = WorkloadSpec::new(1024, 100_000, 2.0).with_memory_budget(16 * 1024);
         for kind in [MechanismKind::AppleCms, MechanismKind::AppleHcms] {
-            let model = b.get(kind).unwrap();
+            let model = b.cost_model(kind).unwrap();
             let desc = model.tune(&spec).unwrap().unwrap();
             let cost = model.cost(&desc, &spec).unwrap();
             assert!(cost.memory_bytes <= 16 * 1024);
@@ -276,16 +267,16 @@ mod tests {
 
     #[test]
     fn variance_delegates_to_protocol_formula() {
-        let b = book();
+        let b = registry();
         let spec = WorkloadSpec::new(256, 50_000, 1.5);
         let desc = b
-            .get(MechanismKind::AppleCms)
+            .cost_model(MechanismKind::AppleCms)
             .unwrap()
             .tune(&spec)
             .unwrap()
             .unwrap();
         let cost = b
-            .get(MechanismKind::AppleCms)
+            .cost_model(MechanismKind::AppleCms)
             .unwrap()
             .cost(&desc, &spec)
             .unwrap();
@@ -300,11 +291,11 @@ mod tests {
 
     #[test]
     fn mean_queries_are_declined() {
-        let b = book();
+        let b = registry();
         let spec =
             WorkloadSpec::new(64, 1000, 1.0).with_query_shape(QueryShape::Mean { max_value: 5.0 });
         for kind in [MechanismKind::AppleCms, MechanismKind::AppleHcms] {
-            assert!(b.get(kind).unwrap().tune(&spec).unwrap().is_none());
+            assert!(b.cost_model(kind).unwrap().tune(&spec).unwrap().is_none());
         }
     }
 }

@@ -125,8 +125,9 @@ impl HcmsProtocol {
     /// Empirically validated in `crates/apple/tests/batch_identity.rs`.
     ///
     /// This method is the formula's single home: the planner's cost
-    /// model ([`crate::cost`]) prices HCMS plans by instantiating the
-    /// protocol and delegating here rather than restating the algebra.
+    /// model (registered by [`crate::register_mechanisms`]) prices HCMS
+    /// plans by instantiating the protocol and delegating here rather
+    /// than restating the algebra.
     pub fn approx_count_variance(&self, n: usize) -> f64 {
         let nf = n as f64;
         let m = self.m as f64;

@@ -42,13 +42,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cms;
-pub mod cost;
+mod cost;
 pub mod hcms;
 pub mod sfp;
 pub mod wire;
 
 pub use cms::{CmsAggregator, CmsOracle, CmsProtocol, CmsReport, CmsServer};
-pub use cost::register_cost_models;
 pub use hcms::{HcmsAggregator, HcmsOracle, HcmsProtocol, HcmsReport, HcmsServer};
 pub use sfp::{SfpCollectors, SfpConfig, SfpDiscovery};
 pub use wire::register_mechanisms;

@@ -8,13 +8,15 @@
 //!   actually transmits.
 //!
 //! [`register_mechanisms`] plugs [`CmsOracle`] and [`HcmsOracle`]
-//! factories into a [`Registry`], making both buildable from a
-//! [`ProtocolDescriptor`] (`sketch(k, m)` + `hash_seed` + `domain_size`
-//! + `epsilon`).
+//! factories into a [`Registry`], each next to its cost model
+//! (`crate::cost`), making both buildable from a [`ProtocolDescriptor`]
+//! (`sketch(k, m)` + `hash_seed` + `domain_size` + `epsilon`) and
+//! plannable.
 
 use crate::cms::{CmsOracle, CmsReport};
+use crate::cost::{CmsCost, HcmsCost};
 use crate::hcms::{HcmsOracle, HcmsReport};
-use ldp_core::protocol::{MechanismKind, ProtocolDescriptor, Registry};
+use ldp_core::protocol::{ProtocolDescriptor, Registry};
 use ldp_core::wire::{
     get_packed_bits, get_sign, packed_bit, put_packed_bits, put_sign, put_uvarint, tag,
     ErasedBridge, ErasedMechanism, OracleMechanism, WireReader, WireReport,
@@ -69,16 +71,17 @@ impl WireReport for HcmsReport {
     }
 }
 
-/// Registers the Apple mechanism factories
-/// ([`MechanismKind::AppleCms`], [`MechanismKind::AppleHcms`]) into
-/// `registry`. Both map the descriptor as: `sketch(k, m)` → sketch
-/// shape, `hash_seed` → the deterministic hash-family seed clients and
-/// server share, `domain_size` → the enumerable query domain.
+/// Registers the Apple mechanisms (`MechanismKind::AppleCms`,
+/// `MechanismKind::AppleHcms`) into `registry`: each factory with its
+/// cost model. Both factories map the descriptor as: `sketch(k, m)` →
+/// sketch shape, `hash_seed` → the deterministic hash-family seed
+/// clients and server share, `domain_size` → the enumerable query
+/// domain.
 pub fn register_mechanisms(registry: &mut Registry) {
-    registry.register(MechanismKind::AppleCms, |d| {
+    registry.register(&CmsCost, |d| {
         build_cms(d).map(|mech| Box::new(mech) as Box<dyn ErasedMechanism>)
     });
-    registry.register(MechanismKind::AppleHcms, |d| {
+    registry.register(&HcmsCost, |d| {
         build_hcms(d).map(|mech| Box::new(mech) as Box<dyn ErasedMechanism>)
     });
 }

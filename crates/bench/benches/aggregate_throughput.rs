@@ -61,9 +61,9 @@ use ldp_core::fo::{
 use ldp_core::protocol::{MechanismKind, ProtocolDescriptor};
 use ldp_core::Epsilon;
 use ldp_microsoft::DBitFlip;
-use ldp_planner::{workspace_planner, Plan, Planner, WorkloadSpec};
+use ldp_planner::{workspace_planner, WorkloadSpec};
 use ldp_rappor::{RapporAggregator, RapporClient, RapporParams};
-use ldp_workloads::gen::{exact_counts, ZipfGenerator};
+use ldp_workloads::frontier;
 use ldp_workloads::parallel::{
     accumulate_mech_sharded_sequential, accumulate_mech_sharded_with_workers, planned_workers,
 };
@@ -182,90 +182,6 @@ fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-/// Executes one planned descriptor end to end over the byte path and
-/// returns the measured MSE over the tail half of the domain (items at
-/// or below the median true count), averaged over `trials` collection
-/// rounds. The tail is the right yardstick: the planner ranks on
-/// noise-floor σ², which is the variance of a *rare* item's estimate.
-fn planned_tail_mse(plan: &Plan, values: &[u64], truth: &[f64], seed: u64, trials: u64) -> f64 {
-    let client = WireClient::from_descriptor(&plan.descriptor).expect("planned client builds");
-    let mut sorted: Vec<f64> = truth.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
-    let mut mse_sum = 0.0f64;
-    for t in 0..trials.max(1) {
-        let mut service =
-            CollectorService::from_descriptor(&plan.descriptor).expect("planned service builds");
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t.wrapping_mul(0x9e37_79b9)));
-        let mut wire = Vec::new();
-        for &v in values {
-            client
-                .randomize_item(v, &mut rng, &mut wire)
-                .expect("frame");
-        }
-        service.ingest_concat(&wire).expect("ingest");
-        let est = service.estimates();
-        let (mut sse, mut count) = (0.0f64, 0usize);
-        for (e, t) in est.iter().zip(truth) {
-            if *t <= median {
-                sse += (e - t) * (e - t);
-                count += 1;
-            }
-        }
-        mse_sum += sse / count.max(1) as f64;
-    }
-    mse_sum / trials.max(1) as f64
-}
-
-/// Sweeps the planner over the same `(d, ε, budget)` frontier grid as
-/// `ldp-sim --scenario plan`, executes each cell's top pick and first
-/// clearly-separated runner-up (predicted σ² ≥ 1.1× the winner's) over
-/// the byte path, and returns `(cells, cells where the measured error
-/// ranking agreed with the predicted one)`.
-fn planner_ranking_agreement(planner: &Planner, n: usize, seed: u64) -> (usize, usize) {
-    let domains = [64u64, 256, 1024];
-    let epsilons = [0.5f64, 1.0, 2.0];
-    let profiles: [(Option<u64>, Option<u64>); 3] = [
-        (Some(1024 * 1024), None),
-        (Some(4 * 1024), None),
-        (Some(1024 * 1024), Some(8)),
-    ];
-    let (mut cells, mut agreed) = (0usize, 0usize);
-    let mut ci = 0u64;
-    for &d in &domains {
-        for &eps in &epsilons {
-            for &(mem, rep) in &profiles {
-                ci += 1;
-                let mut spec = WorkloadSpec::new(d, n as u64, eps);
-                if let Some(m) = mem {
-                    spec = spec.with_memory_budget(m);
-                }
-                if let Some(r) = rep {
-                    spec = spec.with_report_budget(r);
-                }
-                let plans = planner.plan(&spec).expect("frontier cell plans");
-                assert!(plans.len() >= 2, "frontier cell needs a runner-up");
-                let top = &plans[0];
-                let next = plans
-                    .iter()
-                    .skip(1)
-                    .find(|p| p.cost.variance >= 1.1 * top.cost.variance)
-                    .unwrap_or(&plans[1]);
-                let zipf = ZipfGenerator::new(d, 1.1).expect("valid zipf");
-                let mut rng = StdRng::seed_from_u64(seed ^ ci);
-                let values = zipf.sample_n(n, &mut rng);
-                let truth = exact_counts(&values, d);
-                let mse_top = planned_tail_mse(top, &values, &truth, seed.wrapping_add(ci), 3);
-                let mse_next =
-                    planned_tail_mse(next, &values, &truth, seed.wrapping_add(1000 + ci), 3);
-                cells += 1;
-                agreed += usize::from(mse_top <= mse_next);
-            }
-        }
-    }
-    (cells, agreed)
 }
 
 /// Median of an already-collected sample vector — companion to
@@ -538,10 +454,10 @@ fn bench_old_vs_new(_c: &mut Criterion) {
         black_box(ring.estimates());
     });
 
-    // --- Mechanism planner: full plan latency over the workspace cost
-    // book, and predicted-vs-measured error ranking agreement over the
-    // same (d, ε, budget) frontier grid `ldp-sim --scenario plan`
-    // sweeps. Agreement below 1.0 is expected: two formulas are
+    // --- Mechanism planner: full plan latency over the workspace
+    // registry, and predicted-vs-measured error ranking agreement over
+    // the shared frontier grid (`ldp_workloads::frontier`, also behind
+    // `ldp-sim --scenario plan`). Agreement below 1.0 is expected: two formulas are
     // documented approximations (HR ignores multinomial row variation;
     // OLH-C charges the worst-case collision mass), and the frontier
     // harness exists to keep that gap measured rather than assumed.
@@ -553,7 +469,9 @@ fn bench_old_vs_new(_c: &mut Criterion) {
         black_box(planner.plan(black_box(&plan_spec)).expect("spec plans"));
     });
     let planner_n = if smoke { 4_000usize } else { 30_000 };
-    let (planner_cells, planner_agreed) = planner_ranking_agreement(&planner, planner_n, 2024);
+    let cells = frontier::sweep(&planner, planner_n, 1.1, 2024).expect("frontier sweeps");
+    let planner_cells = cells.len();
+    let planner_agreed = cells.iter().filter(|c| c.agrees()).count();
     let planner_agreement = planner_agreed as f64 / planner_cells.max(1) as f64;
 
     // --- Decode kernels. Where a kernel has a retained oracle to race,

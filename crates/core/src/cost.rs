@@ -1,4 +1,4 @@
-//! # Cost model — the analytic book the mechanism planner optimizes over
+//! # Cost model — the analytic entries the mechanism planner optimizes over
 //!
 //! The tutorial's mechanisms trade accuracy, server memory, report size,
 //! and decode latency against each other as `(d, n, ε)` move. Every
@@ -7,15 +7,15 @@
 //! CMS/HCMS `approx_count_variance` approximations, the dBitFlip bucket
 //! variance — and the aggregation-complexity table in `DESIGN.md`
 //! documents the memory/estimate costs. This module gives all of that
-//! one seam: a [`CostModel`] trait (one entry per [`MechanismKind`]) and
-//! a [`CostBook`] registry mirroring [`crate::Registry`], so each crate
-//! contributes its own analytic entry exactly the way it contributes its
-//! wire factory:
+//! one seam: a [`CostModel`] trait, one entry per [`MechanismKind`].
+//! Entries live in the [`crate::Registry`] next to the kind's wire
+//! factory — `Registry::register(cost, factory)` files both halves under
+//! `cost.kind()` — so a kind is named once, where it is registered:
 //!
-//! * [`CostBook::core`] registers the eight `ldp-core` oracles a
+//! * [`crate::Registry::core`] registers the eight `ldp-core` oracles a
 //!   descriptor can name (GRR, SUE, OUE, SHE, THE, OLH-C, HR, SS);
-//! * `ldp_apple::register_cost_models` adds CMS and HCMS;
-//! * `ldp_microsoft::register_cost_models` adds dBitFlip and 1BitMean.
+//! * `ldp_apple::register_mechanisms` adds CMS and HCMS;
+//! * `ldp_microsoft::register_mechanisms` adds dBitFlip and 1BitMean.
 //!
 //! **Single source of truth:** a [`CostModel`] never restates a variance
 //! formula. It *instantiates* the mechanism its descriptor describes and
@@ -36,7 +36,6 @@ use crate::fo::{
 };
 use crate::protocol::{MechanismKind, ProtocolDescriptor};
 use crate::{Epsilon, LdpError, Result};
-use std::collections::BTreeMap;
 
 /// What the collector will be asked at estimation time. The shape moves
 /// the predicted decode cost (full sweeps pay `O(d)`-and-up; point
@@ -274,82 +273,6 @@ pub trait CostModel: Send + Sync {
     fn cost(&self, desc: &ProtocolDescriptor, spec: &WorkloadSpec) -> Result<CostEstimate>;
 }
 
-/// Maps [`MechanismKind`]s to [`CostModel`] entries — the analytic
-/// mirror of [`crate::Registry`]. Crates register their entries with
-/// [`CostBook::register`] exactly as they register wire factories.
-pub struct CostBook {
-    models: BTreeMap<u8, Box<dyn CostModel>>,
-}
-
-impl std::fmt::Debug for CostBook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CostBook")
-            .field("kinds", &self.kinds())
-            .finish()
-    }
-}
-
-impl Default for CostBook {
-    fn default() -> Self {
-        Self::core()
-    }
-}
-
-impl CostBook {
-    /// An empty book (register everything yourself).
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            models: BTreeMap::new(),
-        }
-    }
-
-    /// A book with every `ldp-core` frequency oracle a descriptor can
-    /// name priced: GRR, SUE, OUE, SHE, THE, OLH-C, HR, SS.
-    #[must_use]
-    pub fn core() -> Self {
-        let mut book = Self::empty();
-        for kind in [
-            MechanismKind::DirectEncoding,
-            MechanismKind::SymmetricUnary,
-            MechanismKind::OptimizedUnary,
-            MechanismKind::SummationHistogram,
-            MechanismKind::ThresholdHistogram,
-            MechanismKind::CohortLocalHashing,
-            MechanismKind::HadamardResponse,
-            MechanismKind::SubsetSelection,
-        ] {
-            book.register(CoreOracleCost { kind });
-        }
-        book
-    }
-
-    /// Registers (or replaces) the entry for `model.kind()`.
-    pub fn register<M: CostModel + 'static>(&mut self, model: M) {
-        self.models.insert(model.kind().code(), Box::new(model));
-    }
-
-    /// The entry for `kind`, if registered.
-    #[must_use]
-    pub fn get(&self, kind: MechanismKind) -> Option<&dyn CostModel> {
-        self.models.get(&kind.code()).map(AsRef::as_ref)
-    }
-
-    /// The registered kinds, in code order.
-    #[must_use]
-    pub fn kinds(&self) -> Vec<MechanismKind> {
-        self.models
-            .keys()
-            .map(|&c| MechanismKind::from_code(c).expect("registered codes are valid"))
-            .collect()
-    }
-
-    /// Iterates the registered entries in code order.
-    pub fn models(&self) -> impl Iterator<Item = &dyn CostModel> {
-        self.models.values().map(AsRef::as_ref)
-    }
-}
-
 /// Encoded length of a LEB128 unsigned varint (see `ldp_core::wire`).
 #[must_use]
 pub fn uvarint_len(v: u64) -> u64 {
@@ -367,17 +290,17 @@ pub fn frame_bytes(payload: u64) -> u64 {
 /// prediction (probabilities, seeds, counters' vec headers).
 pub const STATE_OVERHEAD_BYTES: u64 = 64;
 
-/// The `ldp-core` oracle entries: one instance per core
-/// [`MechanismKind`], delegating variance to the oracle's own
-/// [`FrequencyOracle::noise_floor_variance`].
-struct CoreOracleCost {
-    kind: MechanismKind,
-}
-
 /// `⌈log2(m)⌉` as a u64 (decode-op accounting for transforms).
-fn log2_ceil(m: u64) -> u64 {
+#[must_use]
+pub fn log2_ceil(m: u64) -> u64 {
     64 - m.saturating_sub(1).leading_zeros() as u64
 }
+
+/// The `ldp-core` oracle entries: one instance per core
+/// [`MechanismKind`], delegating variance to the oracle's own
+/// [`FrequencyOracle::noise_floor_variance`]. [`crate::Registry::core`]
+/// registers each as a promoted `&'static` next to its factory.
+pub(crate) struct CoreOracleCost(pub(crate) MechanismKind);
 
 impl CoreOracleCost {
     /// Largest cohort count whose `C·g` count matrix fits the memory
@@ -405,7 +328,7 @@ impl CoreOracleCost {
 
 impl CostModel for CoreOracleCost {
     fn kind(&self) -> MechanismKind {
-        self.kind
+        self.0
     }
 
     fn tune(&self, spec: &WorkloadSpec) -> Result<Option<ProtocolDescriptor>> {
@@ -413,7 +336,7 @@ impl CostModel for CoreOracleCost {
         if matches!(spec.query_shape, QueryShape::Mean { .. }) {
             return Ok(None); // frequency oracles do not answer mean queries
         }
-        let kind = self.kind;
+        let kind = self.0;
         // A structural exclusion the planner must never override: SHE's
         // float sums have no exact merge inverse.
         if spec.require_subtractive && kind == MechanismKind::SummationHistogram {
@@ -436,10 +359,10 @@ impl CostModel for CoreOracleCost {
     }
 
     fn cost(&self, desc: &ProtocolDescriptor, spec: &WorkloadSpec) -> Result<CostEstimate> {
-        if desc.kind() != self.kind {
+        if desc.kind() != self.0 {
             return Err(LdpError::InvalidParameter(format!(
                 "cost entry for {} asked to price a {} descriptor",
-                self.kind.name(),
+                self.0.name(),
                 desc.kind().name()
             )));
         }
@@ -450,7 +373,7 @@ impl CostModel for CoreOracleCost {
         let n_usize = usize::try_from(n).unwrap_or(usize::MAX);
         // Delegate σ² to the oracle's own formula; per-kind resource rows
         // follow the DESIGN.md aggregation table.
-        let (variance, payload, memory, decode, subtractive) = match self.kind {
+        let (variance, payload, memory, decode, subtractive) = match self.0 {
             MechanismKind::DirectEncoding => {
                 let m = DirectEncoding::new(d, eps)?;
                 let var = m.noise_floor_variance(n_usize);
@@ -528,25 +451,26 @@ impl CostModel for CoreOracleCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     fn spec(d: u64, n: u64, eps: f64) -> WorkloadSpec {
         WorkloadSpec::new(d, n, eps)
     }
 
     #[test]
-    fn core_book_covers_all_core_oracles() {
-        let book = CostBook::core();
-        assert_eq!(book.kinds().len(), 8);
-        for kind in book.kinds() {
-            assert!(book.get(kind).is_some());
+    fn core_registry_prices_all_core_oracles() {
+        let registry = Registry::core();
+        assert_eq!(registry.kinds().len(), 8);
+        for kind in registry.kinds() {
+            assert_eq!(registry.cost_model(kind).unwrap().kind(), kind);
         }
     }
 
     #[test]
     fn tuned_descriptors_build_and_price() {
-        let book = CostBook::core();
+        let registry = Registry::core();
         let s = spec(256, 50_000, 1.0);
-        for model in book.models() {
+        for model in registry.cost_models() {
             if let Some(desc) = model.tune(&s).unwrap() {
                 assert_eq!(desc.kind(), model.kind());
                 let cost = model.cost(&desc, &s).unwrap();
@@ -560,17 +484,17 @@ mod tests {
 
     #[test]
     fn subtractive_requirement_excludes_float_state() {
-        let book = CostBook::core();
+        let registry = Registry::core();
         let s = spec(64, 1000, 1.0).with_subtractive();
-        assert!(book
-            .get(MechanismKind::SummationHistogram)
+        assert!(registry
+            .cost_model(MechanismKind::SummationHistogram)
             .unwrap()
             .tune(&s)
             .unwrap()
             .is_none());
         // The count-state oracles still serve it.
-        assert!(book
-            .get(MechanismKind::OptimizedUnary)
+        assert!(registry
+            .cost_model(MechanismKind::OptimizedUnary)
             .unwrap()
             .tune(&s)
             .unwrap()
@@ -579,8 +503,10 @@ mod tests {
 
     #[test]
     fn cohort_tuning_respects_memory_budget() {
-        let book = CostBook::core();
-        let model = book.get(MechanismKind::CohortLocalHashing).unwrap();
+        let registry = Registry::core();
+        let model = registry
+            .cost_model(MechanismKind::CohortLocalHashing)
+            .unwrap();
         let tight = spec(1024, 1_000_000, 1.0).with_memory_budget(16 * 1024);
         let desc = model.tune(&tight).unwrap().expect("a small C still fits");
         let cost = model.cost(&desc, &tight).unwrap();
@@ -601,17 +527,19 @@ mod tests {
 
     #[test]
     fn mean_shape_excludes_frequency_oracles() {
-        let book = CostBook::core();
+        let registry = Registry::core();
         let s = spec(64, 1000, 1.0).with_query_shape(QueryShape::Mean { max_value: 10.0 });
-        for model in book.models() {
+        for model in registry.cost_models() {
             assert!(model.tune(&s).unwrap().is_none());
         }
     }
 
     #[test]
     fn topk_shape_shrinks_decode_cost() {
-        let book = CostBook::core();
-        let model = book.get(MechanismKind::CohortLocalHashing).unwrap();
+        let registry = Registry::core();
+        let model = registry
+            .cost_model(MechanismKind::CohortLocalHashing)
+            .unwrap();
         let full = spec(4096, 100_000, 1.0);
         let topk = spec(4096, 100_000, 1.0).with_query_shape(QueryShape::TopK { k: 8 });
         let desc = model.tune(&full).unwrap().unwrap();

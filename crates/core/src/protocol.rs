@@ -16,9 +16,11 @@
 //!   workspace ([`LdpError`] replaces the `assert!`s of the typed
 //!   constructors) — and serialized with
 //!   [`ProtocolDescriptor::to_bytes`] / [`from_bytes`](ProtocolDescriptor::from_bytes).
-//! * [`Registry`] — maps kinds to factories producing type-erased
-//!   mechanisms ([`ErasedMechanism`]). [`Registry::core`] registers
-//!   every `ldp-core` oracle; `ldp_apple::register_mechanisms` and
+//! * [`Registry`] — the one per-kind table: each entry pairs a factory
+//!   producing a type-erased mechanism ([`ErasedMechanism`]) with the
+//!   kind's analytic [`CostModel`] (`crate::cost`), which the planner
+//!   tunes and prices. [`Registry::core`] registers every `ldp-core`
+//!   oracle; `ldp_apple::register_mechanisms` and
 //!   `ldp_microsoft::register_mechanisms` add the industrial
 //!   deployments, and `ldp_workloads::service::workspace_registry`
 //!   assembles the whole workspace.
@@ -35,6 +37,7 @@
 //! noise floor up to a `1/C` collision term, `O(C·g)` memory) or the
 //! planner. Descriptor byte 2 is reserved and must be `0`.
 
+use crate::cost::{CoreOracleCost, CostModel};
 use crate::fo::{
     CohortLocalHashing, DirectEncoding, HadamardResponse, OptimizedUnaryEncoding, SubsetSelection,
     SummationHistogramEncoding, SymmetricUnaryEncoding, ThresholdHistogramEncoding,
@@ -496,10 +499,12 @@ impl ProtocolDescriptorBuilder {
 pub type MechanismFactory =
     Box<dyn Fn(&ProtocolDescriptor) -> Result<Box<dyn ErasedMechanism>> + Send + Sync>;
 
-/// Maps [`MechanismKind`]s to factories, so a service can instantiate
-/// any registered mechanism from a serialized descriptor at runtime.
+/// Maps [`MechanismKind`]s to their two halves — the factory that
+/// instantiates a mechanism from a serialized descriptor at runtime, and
+/// the analytic [`CostModel`] the planner tunes and prices it with — so
+/// each kind is registered, and named, once.
 pub struct Registry {
-    factories: BTreeMap<u8, MechanismFactory>,
+    entries: BTreeMap<u8, (MechanismFactory, &'static dyn CostModel)>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -510,27 +515,23 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::core()
-    }
-}
-
 impl Registry {
     /// An empty registry (register everything yourself).
     #[must_use]
     pub fn empty() -> Self {
         Self {
-            factories: BTreeMap::new(),
+            entries: BTreeMap::new(),
         }
     }
 
     /// A registry with every `ldp-core` frequency oracle a descriptor
     /// can name registered: GRR, SUE, OUE, SHE, THE, OLH-C, HR, SS.
+    /// Each `&CoreOracleCost(kind)` is a constant expression, promoted to
+    /// `'static` without an allocation.
     #[must_use]
     pub fn core() -> Self {
         let mut r = Self::empty();
-        r.register(MechanismKind::DirectEncoding, |d| {
+        r.register(&CoreOracleCost(MechanismKind::DirectEncoding), |d| {
             erase(
                 OracleMechanism(DirectEncoding::new(d.domain_size(), d.epsilon_checked())?),
                 d,
@@ -540,7 +541,7 @@ impl Registry {
         // `try_randomize_frames` writes sampled payload words straight
         // into the outgoing frame buffer (byte-identical to the materializing
         // path for a given seed).
-        r.register(MechanismKind::SymmetricUnary, |d| {
+        r.register(&CoreOracleCost(MechanismKind::SymmetricUnary), |d| {
             erase(
                 FusedUnaryMechanism(SymmetricUnaryEncoding::new(
                     d.domain_size(),
@@ -549,7 +550,7 @@ impl Registry {
                 d,
             )
         });
-        r.register(MechanismKind::OptimizedUnary, |d| {
+        r.register(&CoreOracleCost(MechanismKind::OptimizedUnary), |d| {
             erase(
                 FusedUnaryMechanism(OptimizedUnaryEncoding::new(
                     d.domain_size(),
@@ -558,7 +559,7 @@ impl Registry {
                 d,
             )
         });
-        r.register(MechanismKind::SummationHistogram, |d| {
+        r.register(&CoreOracleCost(MechanismKind::SummationHistogram), |d| {
             erase(
                 OracleMechanism(SummationHistogramEncoding::new(
                     d.domain_size(),
@@ -567,7 +568,7 @@ impl Registry {
                 d,
             )
         });
-        r.register(MechanismKind::ThresholdHistogram, |d| {
+        r.register(&CoreOracleCost(MechanismKind::ThresholdHistogram), |d| {
             erase(
                 FusedUnaryMechanism(ThresholdHistogramEncoding::new(
                     d.domain_size(),
@@ -576,7 +577,7 @@ impl Registry {
                 d,
             )
         });
-        r.register(MechanismKind::CohortLocalHashing, |d| {
+        r.register(&CoreOracleCost(MechanismKind::CohortLocalHashing), |d| {
             erase(
                 OracleMechanism(CohortLocalHashing::optimized_with_seed(
                     d.domain_size(),
@@ -587,13 +588,13 @@ impl Registry {
                 d,
             )
         });
-        r.register(MechanismKind::HadamardResponse, |d| {
+        r.register(&CoreOracleCost(MechanismKind::HadamardResponse), |d| {
             erase(
                 OracleMechanism(HadamardResponse::new(d.domain_size(), d.epsilon_checked())),
                 d,
             )
         });
-        r.register(MechanismKind::SubsetSelection, |d| {
+        r.register(&CoreOracleCost(MechanismKind::SubsetSelection), |d| {
             erase(
                 OracleMechanism(SubsetSelection::new(d.domain_size(), d.epsilon_checked())),
                 d,
@@ -602,26 +603,34 @@ impl Registry {
         r
     }
 
-    /// Registers (or replaces) the factory for `kind`.
-    pub fn register<F>(&mut self, kind: MechanismKind, factory: F)
+    /// Registers (or replaces) the entry for `cost.kind()`: its cost
+    /// model and the factory that builds it from a descriptor.
+    pub fn register<F>(&mut self, cost: &'static dyn CostModel, factory: F)
     where
         F: Fn(&ProtocolDescriptor) -> Result<Box<dyn ErasedMechanism>> + Send + Sync + 'static,
     {
-        self.factories.insert(kind.code(), Box::new(factory));
-    }
-
-    /// Whether a factory for `kind` is registered.
-    pub fn supports(&self, kind: MechanismKind) -> bool {
-        self.factories.contains_key(&kind.code())
+        self.entries
+            .insert(cost.kind().code(), (Box::new(factory), cost));
     }
 
     /// The registered kinds, in code order.
     #[must_use]
     pub fn kinds(&self) -> Vec<MechanismKind> {
-        self.factories
+        self.entries
             .keys()
             .map(|&c| MechanismKind::from_code(c).expect("registered codes are valid"))
             .collect()
+    }
+
+    /// The cost model registered for `kind`, if any.
+    #[must_use]
+    pub fn cost_model(&self, kind: MechanismKind) -> Option<&'static dyn CostModel> {
+        self.entries.get(&kind.code()).map(|&(_, cost)| cost)
+    }
+
+    /// Iterates the registered cost models in code order.
+    pub fn cost_models(&self) -> impl Iterator<Item = &'static dyn CostModel> + '_ {
+        self.entries.values().map(|&(_, cost)| cost)
     }
 
     /// Instantiates the mechanism a descriptor describes.
@@ -631,16 +640,13 @@ impl Registry {
     /// for the kind; any [`LdpError`] the factory's typed constructor
     /// surfaces.
     pub fn build(&self, descriptor: &ProtocolDescriptor) -> Result<Box<dyn ErasedMechanism>> {
-        let factory = self
-            .factories
-            .get(&descriptor.kind().code())
-            .ok_or_else(|| {
-                LdpError::UnsupportedMechanism(format!(
-                    "no factory registered for {} (registered: {:?})",
-                    descriptor.kind().name(),
-                    self.kinds()
-                ))
-            })?;
+        let (factory, _) = self.entries.get(&descriptor.kind().code()).ok_or_else(|| {
+            LdpError::UnsupportedMechanism(format!(
+                "no factory registered for {} (registered: {:?})",
+                descriptor.kind().name(),
+                self.kinds()
+            ))
+        })?;
         factory(descriptor)
     }
 }

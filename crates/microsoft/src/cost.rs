@@ -1,5 +1,5 @@
-//! Cost-model entries for the Microsoft telemetry mechanisms,
-//! registered into [`CostBook`] alongside the Apple and core entries.
+//! Cost-model entries for the Microsoft telemetry mechanisms, registered
+//! next to their wire factories by [`crate::register_mechanisms`].
 //!
 //! Variance delegates to the mechanisms' own published formulas —
 //! [`DBitFlip::count_variance`] (the `(k/d)²`-scaled covered-bucket
@@ -13,7 +13,7 @@
 use crate::dbitflip::DBitFlip;
 use crate::onebit::OneBitMean;
 use ldp_core::cost::{
-    frame_bytes, uvarint_len, CostBook, CostEstimate, CostModel, QueryShape, WorkloadSpec,
+    frame_bytes, uvarint_len, CostEstimate, CostModel, QueryShape, WorkloadSpec,
     STATE_OVERHEAD_BYTES,
 };
 use ldp_core::protocol::{MechanismKind, ProtocolDescriptor};
@@ -23,12 +23,6 @@ use ldp_core::{LdpError, Result};
 /// beyond this the variance gains flatten while frames keep growing.
 const MAX_BITS_PER_DEVICE: u64 = 64;
 
-/// Registers the Microsoft cost entries (dBitFlip, 1BitMean).
-pub fn register_cost_models(book: &mut CostBook) {
-    book.register(DBitFlipCost);
-    book.register(OneBitMeanCost);
-}
-
 /// dBitFlip payload upper bound: bit count varint, then per covered
 /// bucket a delta varint (bounded by the absolute index width) plus a
 /// packed bit.
@@ -36,7 +30,8 @@ fn dbit_payload(b: u64, buckets: u64) -> u64 {
     uvarint_len(b) + b.saturating_mul(uvarint_len(buckets.saturating_sub(1))) + b.div_ceil(8)
 }
 
-struct DBitFlipCost;
+/// The dBitFlip entry ([`MechanismKind::MicrosoftDBitFlip`]).
+pub(crate) struct DBitFlipCost;
 
 impl CostModel for DBitFlipCost {
     fn kind(&self) -> MechanismKind {
@@ -99,7 +94,8 @@ impl CostModel for DBitFlipCost {
     }
 }
 
-struct OneBitMeanCost;
+/// The 1BitMean entry ([`MechanismKind::MicrosoftOneBitMean`]).
+pub(crate) struct OneBitMeanCost;
 
 impl CostModel for OneBitMeanCost {
     fn kind(&self) -> MechanismKind {
@@ -142,24 +138,25 @@ impl CostModel for OneBitMeanCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Registry;
 
-    fn book() -> CostBook {
-        let mut b = CostBook::empty();
-        register_cost_models(&mut b);
-        b
+    fn registry() -> Registry {
+        let mut r = Registry::empty();
+        crate::register_mechanisms(&mut r);
+        r
     }
 
     #[test]
     fn registers_both_mechanisms() {
-        let b = book();
-        assert!(b.get(MechanismKind::MicrosoftDBitFlip).is_some());
-        assert!(b.get(MechanismKind::MicrosoftOneBitMean).is_some());
+        let b = registry();
+        assert!(b.cost_model(MechanismKind::MicrosoftDBitFlip).is_some());
+        assert!(b.cost_model(MechanismKind::MicrosoftOneBitMean).is_some());
     }
 
     #[test]
     fn dbit_takes_more_bits_when_frames_allow() {
-        let b = book();
-        let model = b.get(MechanismKind::MicrosoftDBitFlip).unwrap();
+        let b = registry();
+        let model = b.cost_model(MechanismKind::MicrosoftDBitFlip).unwrap();
         let roomy = WorkloadSpec::new(256, 100_000, 1.0);
         let tight = WorkloadSpec::new(256, 100_000, 1.0).with_report_budget(16);
         let d_roomy = model.tune(&roomy).unwrap().unwrap();
@@ -173,8 +170,8 @@ mod tests {
 
     #[test]
     fn dbit_variance_delegates_to_mechanism() {
-        let b = book();
-        let model = b.get(MechanismKind::MicrosoftDBitFlip).unwrap();
+        let b = registry();
+        let model = b.cost_model(MechanismKind::MicrosoftDBitFlip).unwrap();
         let spec = WorkloadSpec::new(128, 20_000, 1.0);
         let desc = model.tune(&spec).unwrap().unwrap();
         let cost = model.cost(&desc, &spec).unwrap();
@@ -184,8 +181,8 @@ mod tests {
 
     #[test]
     fn onebit_serves_only_mean_queries() {
-        let b = book();
-        let model = b.get(MechanismKind::MicrosoftOneBitMean).unwrap();
+        let b = registry();
+        let model = b.cost_model(MechanismKind::MicrosoftOneBitMean).unwrap();
         assert!(model
             .tune(&WorkloadSpec::new(64, 1000, 1.0))
             .unwrap()

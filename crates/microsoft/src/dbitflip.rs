@@ -200,8 +200,8 @@ impl DBitFlip {
     /// then rescaled by `k/d`.
     ///
     /// This method is the formula's single home: the planner's cost
-    /// model ([`crate::cost`]) prices dBitFlip plans by instantiating
-    /// the mechanism and delegating here.
+    /// model (registered by [`crate::register_mechanisms`]) prices
+    /// dBitFlip plans by instantiating the mechanism and delegating here.
     pub fn count_variance(&self, n: usize) -> f64 {
         let covered = n as f64 * self.d as f64 / self.k as f64;
         let q = 1.0 - self.p;

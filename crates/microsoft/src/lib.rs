@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cost;
+mod cost;
 pub mod dbitflip;
 pub mod memoization;
 pub mod onebit;
@@ -43,7 +43,6 @@ pub mod pipeline;
 pub mod repeated;
 pub mod wire;
 
-pub use cost::register_cost_models;
 pub use dbitflip::{DBitAggregator, DBitFlip, DBitReport};
 pub use memoization::{MemoizedMeanClient, RoundingConfig};
 pub use onebit::{OneBitMean, OneBitMeanAggregator};

@@ -87,8 +87,8 @@ impl OneBitMean {
     /// `max²·(e^ε+1)²/(4n(e^ε−1)²)`.
     ///
     /// This method is the formula's single home: the planner's cost
-    /// model ([`crate::cost`]) prices 1BitMean plans by instantiating
-    /// the mechanism and delegating here.
+    /// model (registered by [`crate::register_mechanisms`]) prices
+    /// 1BitMean plans by instantiating the mechanism and delegating here.
     pub fn worst_case_variance(&self, n: usize) -> f64 {
         let e = self.epsilon.exp();
         self.max_value * self.max_value * (e + 1.0).powi(2) / (4.0 * n as f64 * (e - 1.0).powi(2))

@@ -9,12 +9,14 @@
 //!
 //! [`register_mechanisms`] plugs [`DBitFlip`] (as a frequency oracle)
 //! and [`OneBitMean`] (as a real-input [`WireMechanism`]) into a
-//! [`Registry`]: `domain_size` → bucket count, `bits_per_device` → `d`,
-//! `max_value` → the 1BitMean input bound.
+//! [`Registry`], each next to its cost model (`crate::cost`):
+//! `domain_size` → bucket count, `bits_per_device` → `d`, `max_value` →
+//! the 1BitMean input bound.
 
+use crate::cost::{DBitFlipCost, OneBitMeanCost};
 use crate::dbitflip::{DBitFlip, DBitReport};
 use crate::onebit::OneBitMean;
-use ldp_core::protocol::{MechanismKind, Registry};
+use ldp_core::protocol::Registry;
 use ldp_core::wire::{
     get_packed_bits, packed_bit, put_packed_bits, put_uvarint, tag, ErasedBridge, ErasedMechanism,
     OracleMechanism, WireMechanism, WireReader, WireReport,
@@ -88,11 +90,12 @@ impl WireMechanism for OneBitMean {
     }
 }
 
-/// Registers the Microsoft mechanism factories
-/// ([`MechanismKind::MicrosoftDBitFlip`],
-/// [`MechanismKind::MicrosoftOneBitMean`]) into `registry`.
+/// Registers the Microsoft mechanisms
+/// (`MechanismKind::MicrosoftDBitFlip`,
+/// `MechanismKind::MicrosoftOneBitMean`) into `registry`: each factory
+/// with its cost model.
 pub fn register_mechanisms(registry: &mut Registry) {
-    registry.register(MechanismKind::MicrosoftDBitFlip, |d| {
+    registry.register(&DBitFlipCost, |d| {
         let mech = DBitFlip::new(
             d.domain_size() as u32,
             d.bits_per_device(),
@@ -103,7 +106,7 @@ pub fn register_mechanisms(registry: &mut Registry) {
                 as Box<dyn ErasedMechanism>,
         )
     });
-    registry.register(MechanismKind::MicrosoftOneBitMean, |d| {
+    registry.register(&OneBitMeanCost, |d| {
         let mech = OneBitMean::new(d.epsilon_checked(), d.max_value())?;
         Ok(Box::new(ErasedBridge::new(mech, d.clone())) as Box<dyn ErasedMechanism>)
     });

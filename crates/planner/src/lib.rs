@@ -7,7 +7,8 @@
 //!
 //! 1. every crate prices its mechanisms through the shared
 //!    [`CostModel`] seam (`ldp_core::cost`), delegating variance to the
-//!    mechanism's own published formula;
+//!    mechanism's own published formula, and registers each cost model
+//!    in the [`Registry`] next to the kind's wire factory;
 //! 2. [`Planner::plan`] asks each entry to *tune its integer knobs*
 //!    (cohorts `C`, sketch `k×m`, bits-per-device `b`) for a
 //!    [`WorkloadSpec`] by analytic minimization under the spec's
@@ -43,7 +44,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use ldp_core::cost::{CostBook, CostEstimate, CostModel, QueryShape, WorkloadSpec};
+pub use ldp_core::cost::{CostEstimate, CostModel, QueryShape, WorkloadSpec};
 use ldp_core::protocol::{MechanismKind, ProtocolDescriptor, Registry};
 use ldp_core::{LdpError, Result};
 
@@ -67,20 +68,11 @@ impl Plan {
     }
 }
 
-/// The optimizer: a [`CostBook`] of analytic entries plus the
-/// [`Registry`] the winners must instantiate through.
+/// The optimizer over a [`Registry`]: every registered kind's cost model
+/// is tuned and priced, and its factory must instantiate the winners.
+#[derive(Debug)]
 pub struct Planner {
-    book: CostBook,
     registry: Registry,
-}
-
-impl std::fmt::Debug for Planner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Planner")
-            .field("book", &self.book)
-            .field("registry", &self.registry)
-            .finish()
-    }
 }
 
 impl Default for Planner {
@@ -90,18 +82,11 @@ impl Default for Planner {
 }
 
 impl Planner {
-    /// A planner over the given cost book and registry. Only kinds
-    /// present in **both** can be planned: the book prices them, the
-    /// registry proves they instantiate.
+    /// A planner over `registry`'s kinds: each entry's cost model prices
+    /// the kind, and its factory proves the plan instantiates.
     #[must_use]
-    pub fn new(book: CostBook, registry: Registry) -> Self {
-        Self { book, registry }
-    }
-
-    /// The analytic entries this planner optimizes over.
-    #[must_use]
-    pub fn book(&self) -> &CostBook {
-        &self.book
+    pub fn new(registry: Registry) -> Self {
+        Self { registry }
     }
 
     /// The registry plans are validated against.
@@ -124,7 +109,7 @@ impl Planner {
     pub fn plan(&self, spec: &WorkloadSpec) -> Result<Vec<Plan>> {
         spec.validate()?;
         let mut plans = Vec::new();
-        for model in self.book.models() {
+        for model in self.registry.cost_models() {
             let Some(descriptor) = model.tune(spec)? else {
                 continue;
             };
@@ -141,9 +126,7 @@ impl Planner {
             if round_tripped != descriptor {
                 continue;
             }
-            if !self.registry.supports(descriptor.kind())
-                || self.registry.build(&descriptor).is_err()
-            {
+            if self.registry.build(&descriptor).is_err() {
                 continue;
             }
             plans.push(Plan { descriptor, cost });
@@ -174,18 +157,10 @@ impl Planner {
     }
 }
 
-/// The full workspace cost book: the eight core oracles plus Apple
-/// CMS/HCMS and Microsoft dBitFlip/1BitMean.
-#[must_use]
-pub fn workspace_cost_book() -> CostBook {
-    let mut book = CostBook::core();
-    ldp_apple::register_cost_models(&mut book);
-    ldp_microsoft::register_cost_models(&mut book);
-    book
-}
-
 /// The full workspace registry: every mechanism kind the workspace
-/// ships, instantiable from a serialized descriptor
+/// ships, instantiable from a serialized descriptor and priced by its
+/// cost model — the eight core oracles plus Apple CMS/HCMS and
+/// Microsoft dBitFlip/1BitMean
 /// (`ldp_workloads::service::workspace_registry` delegates here).
 #[must_use]
 pub fn workspace_registry() -> Registry {
@@ -199,7 +174,7 @@ pub fn workspace_registry() -> Registry {
 /// and instantiable.
 #[must_use]
 pub fn workspace_planner() -> Planner {
-    Planner::new(workspace_cost_book(), workspace_registry())
+    Planner::new(workspace_registry())
 }
 
 #[cfg(test)]
@@ -207,13 +182,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn workspace_book_and_registry_cover_every_kind() {
-        let book = workspace_cost_book();
+    fn every_kind_is_plannable() {
         let registry = workspace_registry();
-        assert_eq!(book.kinds().len(), MechanismKind::ALL.len());
+        assert_eq!(registry.kinds(), MechanismKind::ALL);
         for kind in MechanismKind::ALL {
-            assert!(book.get(kind).is_some(), "missing cost entry: {kind:?}");
-            assert!(registry.supports(kind), "missing factory: {kind:?}");
+            let spec = if kind == MechanismKind::MicrosoftOneBitMean {
+                WorkloadSpec::new(256, 100_000, 1.0)
+                    .with_query_shape(QueryShape::Mean { max_value: 100.0 })
+            } else {
+                WorkloadSpec::new(256, 100_000, 1.0)
+            };
+            let model = registry
+                .cost_model(kind)
+                .expect("every kind has a cost model");
+            let desc = model
+                .tune(&spec)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{kind:?} declined to tune"));
+            assert_eq!(desc.kind(), kind);
+            registry.build(&desc).unwrap();
+            let cost = model.cost(&desc, &spec).unwrap();
+            assert!(cost.variance.is_finite(), "{kind:?}: σ² {}", cost.variance);
         }
     }
 
@@ -275,17 +264,5 @@ mod tests {
             .unwrap();
         assert_eq!(best.kind(), MechanismKind::MicrosoftOneBitMean);
         assert_eq!(best.descriptor.max_value(), 100.0);
-    }
-
-    #[test]
-    fn planner_only_emits_kinds_both_sides_know() {
-        // A planner whose registry lacks the Apple kinds must never
-        // emit them, even though the book prices them.
-        let planner = Planner::new(workspace_cost_book(), Registry::core());
-        let plans = planner.plan(&WorkloadSpec::new(256, 10_000, 2.0)).unwrap();
-        assert!(!plans.is_empty());
-        assert!(plans
-            .iter()
-            .all(|p| !matches!(p.kind(), MechanismKind::AppleCms | MechanismKind::AppleHcms)));
     }
 }

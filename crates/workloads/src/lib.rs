@@ -35,6 +35,10 @@
 //!   snapshot time — bit-identical across worker counts, with
 //!   per-worker throughput and queue stats in
 //!   [`pipeline::PipelineStats`].
+//! * [`frontier`] — the planner's predicted-vs-measured check: plans a
+//!   fixed `(d, ε, budget)` grid, executes each cell's top pick and
+//!   runner-up over the byte path, and reports whether the measured
+//!   tail errors rank the way the planner predicted.
 //! * [`window`] — event-time sliding windows over the service layer:
 //!   [`window::WindowRing`] keeps one mergeable delta per window plus a
 //!   running total retired by **exact subtraction** (rebuild fallback
@@ -46,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod frontier;
 pub mod gen;
 pub mod harness;
 pub mod metrics;

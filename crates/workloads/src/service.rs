@@ -101,10 +101,10 @@ impl From<IngestError> for LdpError {
     }
 }
 
-/// A registry with **every** workspace mechanism registered: the ten
+/// A registry with **every** workspace mechanism registered: the eight
 /// `ldp-core` oracles plus Apple CMS/HCMS and Microsoft
 /// dBitFlip/1BitMean (delegates to [`ldp_planner::workspace_registry`],
-/// so the planner validates against exactly this registry).
+/// so the planner plans over exactly this registry).
 #[must_use]
 pub fn workspace_registry() -> Registry {
     ldp_planner::workspace_registry()
@@ -114,9 +114,7 @@ pub fn workspace_registry() -> Registry {
 // their serving stack: `workspace_planner().plan(&spec)` yields
 // descriptors that instantiate through this module's `WireClient` /
 // `CollectorService` unchanged.
-pub use ldp_planner::{
-    workspace_cost_book, workspace_planner, Plan, Planner, QueryShape, WorkloadSpec,
-};
+pub use ldp_planner::{workspace_planner, Plan, Planner, QueryShape, WorkloadSpec};
 
 /// The client half of the wire protocol: randomizes private inputs into
 /// report frames for the mechanism a descriptor describes.

@@ -50,7 +50,7 @@ use ldp::workloads::metrics;
 use ldp::workloads::pipeline::{
     stream_population, BackpressurePolicy, CollectorPipeline, PipelineConfig,
 };
-use ldp::workloads::service::{CollectorService, WireClient};
+use ldp::workloads::service::WireClient;
 use ldp::workloads::window::{LongitudinalAccountant, WindowConfig, WindowRing};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -248,182 +248,58 @@ fn run_pipeline(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Executes one planned descriptor end to end through the wire path and
-/// returns the measured MSE over the **tail half** of the domain (items
-/// at or below the median true count). The planner ranks on noise-floor
-/// σ² — the variance of a *rare* item's estimate — so the measured
-/// yardstick is the same quantity, not the head items whose error is
-/// dominated by frequency-dependent terms every floor formula ignores.
-fn execute_plan_arm(
-    plan: &ldp::planner::Plan,
-    values: &[u64],
-    truth: &[f64],
-    seed: u64,
-    trials: u64,
-) -> Result<f64, String> {
-    let client =
-        WireClient::from_descriptor(&plan.descriptor).map_err(|e| format!("client: {e}"))?;
-    let mut sorted: Vec<f64> = truth.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
-
-    let mut mse_sum = 0.0f64;
-    for t in 0..trials.max(1) {
-        let mut service = CollectorService::from_descriptor(&plan.descriptor)
-            .map_err(|e| format!("service: {e}"))?;
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t.wrapping_mul(0x9e37_79b9)));
-        let mut wire = Vec::new();
-        for &v in values {
-            client
-                .randomize_item(v, &mut rng, &mut wire)
-                .map_err(|e| format!("frame: {e}"))?;
-        }
-        service
-            .ingest_concat(&wire)
-            .map_err(|e| format!("ingest: {e}"))?;
-        let est = service.estimates();
-
-        let (mut sse, mut count) = (0.0f64, 0usize);
-        for (e, t) in est.iter().zip(truth) {
-            if *t <= median {
-                sse += (e - t) * (e - t);
-                count += 1;
-            }
-        }
-        mse_sum += sse / count.max(1) as f64;
-    }
-    Ok(mse_sum / trials.max(1) as f64)
-}
-
-/// The `--scenario plan` path: sweep the planner over a
-/// `(d, n, ε, memory budget)` grid, execute each cell's top pick and
-/// runner-up over the byte path, and score predicted-vs-measured error
-/// ranking agreement.
+/// The `--scenario plan` path: sweep the planner over the frontier grid
+/// (`ldp::workloads::frontier`), print each cell's top pick and
+/// runner-up with predicted σ² and measured tail MSE, and score
+/// predicted-vs-measured error ranking agreement.
 fn run_plan(args: &Args) -> Result<(), String> {
-    use ldp::planner::{workspace_planner, WorkloadSpec};
+    use ldp::workloads::frontier::{sweep, DOMAINS, EPSILONS, PROFILES};
 
     let n = args.users.unwrap_or(30_000);
-    let planner = workspace_planner();
-    let domains = [64u64, 256, 1024];
-    let epsilons = [0.5f64, 1.0, 2.0];
-    // Budget profiles exercise different planner regimes: unconstrained
-    // accuracy chasing, a memory wall that forces sketches/cohorts at
-    // large d, and a wire cap that forces compact report formats.
-    let profiles: [(&str, Option<u64>, Option<u64>); 3] = [
-        ("roomy", Some(1024 * 1024), None),
-        ("tight-mem", Some(4 * 1024), None),
-        ("tight-wire", Some(1024 * 1024), Some(8)),
-    ];
-
     println!(
         "plan | grid: d×ε×budget = {}×{}×{} cells | n={n} per cell | Zipf({})",
-        domains.len(),
-        epsilons.len(),
-        profiles.len(),
+        DOMAINS.len(),
+        EPSILONS.len(),
+        PROFILES.len(),
         args.zipf,
     );
     println!(
         "{:>5} {:>5} {:>10} | {:>9} {:>12} {:>12} | {:>9} {:>12} {:>12} | agree",
         "d", "ε", "budget", "top", "pred σ²", "meas MSE", "next", "pred σ²", "meas MSE"
     );
-
-    let mut cells = 0usize;
-    let mut agreements = 0usize;
-    let mut plan_nanos = 0u128;
-    let mut grid = Vec::new();
-    for &d in &domains {
-        for &eps in &epsilons {
-            for &profile in &profiles {
-                grid.push((d, eps, profile));
-            }
-        }
-    }
-    for (ci, &(d, eps, (label, mem, wire_cap))) in grid.iter().enumerate() {
-        let mut spec = WorkloadSpec::new(d, n as u64, eps);
-        if let Some(m) = mem {
-            spec = spec.with_memory_budget(m);
-        }
-        if let Some(w) = wire_cap {
-            spec = spec.with_report_budget(w);
-        }
-        let started = std::time::Instant::now();
-        let plans = planner.plan(&spec).map_err(|e| format!("plan: {e}"))?;
-        plan_nanos += started.elapsed().as_nanos();
-        if plans.len() < 2 {
-            return Err(format!("cell d={d} ε={eps} {label}: fewer than 2 plans"));
-        }
-        for p in &plans {
-            if mem.is_some_and(|m| p.cost.memory_bytes > m)
-                || wire_cap.is_some_and(|w| p.cost.bytes_per_report > w)
-            {
-                return Err(format!(
-                    "cell d={d} ε={eps} {label}: {} blew a budget",
-                    p.kind().name()
-                ));
-            }
-        }
-        // Runner-up: the first plan meaningfully separated in predicted
-        // σ² (rank 2 when the whole field is tied) — ranking two
-        // near-identical predictions is a coin flip by construction.
-        let top = &plans[0];
-        let next = plans[1..]
-            .iter()
-            .find(|p| p.cost.variance >= 1.1 * top.cost.variance)
-            .unwrap_or(&plans[1]);
-
-        let zipf = ZipfGenerator::new(d, args.zipf).map_err(|e| format!("zipf: {e}"))?;
-        let mut rng = StdRng::seed_from_u64(args.seed ^ ci as u64);
-        let values = zipf.sample_n(n, &mut rng);
-        let truth = exact_counts(&values, d);
-        // A few repetitions per arm average away single-draw luck so the
-        // comparison reflects the mechanisms, not one RNG stream.
-        let trials = 3;
-        let mse_top = execute_plan_arm(
-            top,
-            &values,
-            &truth,
-            args.seed.wrapping_add(ci as u64),
-            trials,
-        )?;
-        let mse_next = execute_plan_arm(
-            next,
-            &values,
-            &truth,
-            args.seed.wrapping_add(1000 + ci as u64),
-            trials,
-        )?;
-
-        // The planner predicted top ≤ next in σ²; the measured errors
-        // agree when the executed MSEs rank the same way.
-        let agree = mse_top <= mse_next;
-        cells += 1;
-        agreements += usize::from(agree);
+    let cells = sweep(&ldp::planner::workspace_planner(), n, args.zipf, args.seed)
+        .map_err(|e| e.to_string())?;
+    for c in &cells {
         println!(
             "{:>5} {:>5} {:>10} | {:>9} {:>12.1} {:>12.1} | {:>9} {:>12.1} {:>12.1} | {}",
-            d,
-            eps,
-            label,
-            top.kind().name(),
-            top.cost.variance,
-            mse_top,
-            next.kind().name(),
-            next.cost.variance,
-            mse_next,
-            if agree { "yes" } else { "NO" },
+            c.spec.domain_size,
+            c.spec.epsilon,
+            c.profile,
+            c.top.kind().name(),
+            c.top.cost.variance,
+            c.mse_top,
+            c.next.kind().name(),
+            c.next.cost.variance,
+            c.mse_next,
+            if c.agrees() { "yes" } else { "NO" },
         );
     }
-    let fraction = agreements as f64 / cells as f64;
+    let agreements = cells.iter().filter(|c| c.agrees()).count();
+    let fraction = agreements as f64 / cells.len() as f64;
+    let plan_time: std::time::Duration = cells.iter().map(|c| c.plan_time).sum();
     println!(
-        "\nranking agreement {agreements}/{cells} ({:.0}%) | mean plan time {:.1} µs",
+        "\nranking agreement {agreements}/{} ({:.0}%) | mean plan time {:.1} µs",
+        cells.len(),
         fraction * 100.0,
-        plan_nanos as f64 / cells as f64 / 1e3,
+        plan_time.as_nanos() as f64 / cells.len() as f64 / 1e3,
     );
     // Near-ties can flip under sampling noise; total disagreement means
-    // the cost book is wrong.
+    // the cost models are wrong.
     if fraction < 0.5 {
         return Err(format!(
-            "measured rankings disagree with predictions in {}/{cells} cells",
-            cells - agreements
+            "measured rankings disagree with predictions in {}/{} cells",
+            cells.len() - agreements,
+            cells.len()
         ));
     }
     Ok(())
