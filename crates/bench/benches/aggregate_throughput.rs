@@ -306,7 +306,7 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     // bits straight into the outgoing frame buffer
     // (`FusedUnaryMechanism::try_randomize_frames`) and the service adds
     // payload bytes straight into the counters, eight frames at a time
-    // (`FoAggregator::try_accumulate_packed_bits_batch`), so the
+    // (`FusedUnaryMechanism::fold_frames`), so the
     // remaining tax over the in-process engine is one packed write plus
     // one packed read of each report's bits.
     let wire_desc = ProtocolDescriptor::builder(MechanismKind::OptimizedUnary)

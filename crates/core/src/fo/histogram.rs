@@ -27,7 +27,7 @@
 //! noise it marginalizes out.
 
 use super::counters::{self, CounterState};
-use super::{batch, FoAggregator, FrequencyOracle, SetBitSampler};
+use super::{batch, FoAggregator, FrequencyOracle, PackedOnes, SetBitSampler};
 use crate::estimate::debiased_count_variance;
 use crate::noise::fill_laplace;
 use crate::privacy::Epsilon;
@@ -456,6 +456,17 @@ impl CounterState for TheAggregator {
     crate::counter_fields!(Count n, Plane ones);
 }
 
+impl PackedOnes for TheAggregator {
+    fn accumulate_packed_batch(
+        &mut self,
+        payloads: &[(&[u8], usize)],
+    ) -> (usize, crate::Result<()>) {
+        let (applied, res) = super::accumulate_packed_ones_batch(&mut self.ones, payloads);
+        self.n += applied;
+        (applied, res)
+    }
+}
+
 impl FoAggregator for TheAggregator {
     type Report = BitVec;
 
@@ -475,27 +486,6 @@ impl FoAggregator for TheAggregator {
         }
         self.accumulate(report);
         Ok(())
-    }
-
-    fn try_accumulate_packed_bits(
-        &mut self,
-        bytes: &[u8],
-        bits: usize,
-    ) -> Option<crate::Result<()>> {
-        let res = super::accumulate_packed_ones(&mut self.ones, bytes, bits);
-        if res.is_ok() {
-            self.n += 1;
-        }
-        Some(res)
-    }
-
-    fn try_accumulate_packed_bits_batch(
-        &mut self,
-        payloads: &[(&[u8], usize)],
-    ) -> Option<(usize, crate::Result<()>)> {
-        let (applied, res) = super::accumulate_packed_ones_batch(&mut self.ones, payloads);
-        self.n += applied;
-        Some((applied, res))
     }
 
     fn reports(&self) -> usize {

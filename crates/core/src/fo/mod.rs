@@ -225,7 +225,13 @@ pub trait FrequencyOracle {
 /// every bit at index `d` or above in the last word 0. That RNG-stream
 /// identity keeps every consumer of this sampler bit-identical to the
 /// report path.
-pub trait SetBitSampler: FrequencyOracle<Report = ldp_sketch::BitVec> {
+///
+/// The aggregator side of the family is [`PackedOnes`]: one counter per
+/// report bit, so the collector folds wire payloads without decoding
+/// them into reports.
+pub trait SetBitSampler:
+    FrequencyOracle<Report = ldp_sketch::BitVec, Aggregator: PackedOnes>
+{
     /// Samples one report as whole 64-bit words, invoking
     /// `on_word(w, bits)` for each in index order.
     ///
@@ -237,6 +243,28 @@ pub trait SetBitSampler: FrequencyOracle<Report = ldp_sketch::BitVec> {
         rng: &mut R,
         on_word: impl FnMut(usize, u64),
     );
+}
+
+/// The aggregator of the unary report family: one counter per report
+/// bit, fed straight from the reports' wire payloads (little-endian
+/// packed bytes) without materializing a [`ldp_sketch::BitVec`] per
+/// report.
+pub trait PackedOnes {
+    /// Folds `(packed bytes, bit width)` payloads in arrival order,
+    /// counting groups of eight through a carry-save positional
+    /// popcount. Returns how many payloads were folded in, and the
+    /// validation error (width, byte count, nonzero padding) of the
+    /// first one that did not fit. Payloads are validated before any
+    /// counter moves, and the state equals decoding the folded
+    /// payloads and calling [`FoAggregator::try_accumulate`] on each.
+    ///
+    /// # Errors
+    /// [`crate::LdpError::Malformed`] for the first payload that does
+    /// not fit this aggregator's configuration.
+    fn accumulate_packed_batch(
+        &mut self,
+        payloads: &[(&[u8], usize)],
+    ) -> (usize, crate::Result<()>);
 }
 
 /// Server-side accumulation and estimation for one [`FrequencyOracle`].
@@ -273,49 +301,6 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
     fn try_accumulate(&mut self, report: &Self::Report) -> crate::Result<()> {
         self.accumulate(report);
         Ok(())
-    }
-
-    /// Folds one bit-vector report presented as its wire payload —
-    /// little-endian packed bytes — without materializing the report.
-    /// `None` means this aggregator has no packed fast path (the wire
-    /// layer falls back to decoding into a scratch report); `Some(res)`
-    /// means the payload was validated (width, byte count, zero padding)
-    /// and, on `Ok`, folded in — state-identical to decoding the same
-    /// payload and calling [`Self::try_accumulate`].
-    ///
-    /// # Errors
-    /// [`crate::LdpError::Malformed`] inside the `Some` when the payload
-    /// does not fit this aggregator's configuration.
-    fn try_accumulate_packed_bits(
-        &mut self,
-        bytes: &[u8],
-        bits: usize,
-    ) -> Option<crate::Result<()>> {
-        let _ = (bytes, bits);
-        None
-    }
-
-    /// Folds a group of bit-vector wire payloads (`(packed bytes, bit
-    /// width)` pairs) in arrival order — the batched companion of
-    /// [`Self::try_accumulate_packed_bits`] that lets implementations
-    /// amortize the per-set-bit counter walk across reports (the unary
-    /// family counts groups of eight through a carry-save positional
-    /// popcount). `None` means no packed fast path; `Some((applied,
-    /// res))` means the first `applied` payloads were folded in, and
-    /// `res` carries the validation error of payload `applied` if not
-    /// every payload fit. State after `Some` is identical to calling
-    /// [`Self::try_accumulate_packed_bits`] on each payload in order and
-    /// stopping at the first error.
-    ///
-    /// # Errors
-    /// [`crate::LdpError::Malformed`] inside the `Some` when a payload
-    /// does not fit this aggregator's configuration.
-    fn try_accumulate_packed_bits_batch(
-        &mut self,
-        payloads: &[(&[u8], usize)],
-    ) -> Option<(usize, crate::Result<()>)> {
-        let _ = payloads;
-        None
     }
 
     /// Number of reports accumulated so far.
@@ -427,20 +412,12 @@ pub(crate) fn assert_point_queries_match_full_estimate(agg: &impl FoAggregator, 
     assert_eq!(bits(agg.estimate_items(items)), bits(picked));
 }
 
-/// Shared body of the per-position-counter
-/// [`FoAggregator::try_accumulate_packed_bits`] overrides (unary family,
-/// THE): validates an LE-packed bit payload against the counter width and
-/// adds each set bit's counter, word at a time — the exact state change
-/// of decoding the payload into a `BitVec` and accumulating it.
-pub(crate) fn accumulate_packed_ones(
-    ones: &mut [u64],
-    bytes: &[u8],
-    bits: usize,
-) -> crate::Result<()> {
-    if bits != ones.len() {
+/// Checks one LE-packed bit payload against a counter width: the width
+/// itself, the byte count, and zero padding bits.
+fn check_packed_ones(width: usize, bytes: &[u8], bits: usize) -> crate::Result<()> {
+    if bits != width {
         return Err(crate::LdpError::Malformed(format!(
-            "report width {bits} != domain size {}",
-            ones.len()
+            "report width {bits} != domain size {width}"
         )));
     }
     if bytes.len() != bits.div_ceil(8) {
@@ -452,6 +429,13 @@ pub(crate) fn accumulate_packed_ones(
     if !bits.is_multiple_of(8) && bytes[bytes.len() - 1] >> (bits % 8) != 0 {
         return Err(crate::LdpError::Malformed("nonzero padding bits".into()));
     }
+    Ok(())
+}
+
+/// Adds each set bit of one checked LE-packed payload to its counter,
+/// word at a time — the exact state change of decoding the payload into
+/// a `BitVec` and accumulating it.
+fn add_packed_ones(ones: &mut [u64], bytes: &[u8]) {
     // A plain trailing_zeros/clear-lowest extraction per word: measured
     // against both a two-chain interleaved drain and a branchless
     // bit-spread (`ones[k] += (w >> k) & 1`), the single chain wins at
@@ -477,7 +461,6 @@ pub(crate) fn accumulate_packed_ones(
             w &= w - 1;
         }
     }
-    Ok(())
 }
 
 /// Full adder over bit-parallel lanes: `(sum, carry)` of three words.
@@ -491,33 +474,27 @@ fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// one carry-save popcount group.
 pub(crate) const PACKED_BATCH: usize = 8;
 
-/// Shared body of the
-/// [`FoAggregator::try_accumulate_packed_bits_batch`] overrides:
-/// validates every payload up front (so the fold below cannot fail
-/// mid-group), then folds groups of [`PACKED_BATCH`] payloads through a
-/// carry-save positional popcount — each 64-counter column costs one
-/// 3-2 adder tree plus a `trailing_zeros` walk over four count
-/// bit-planes, instead of eight separate per-set-bit walks. At the ~25%
-/// bit density the unary mechanisms produce, that roughly halves the
-/// counter-add work per report. Leftover payloads (and any prefix that
-/// precedes an invalid payload) go through the single-report walk.
+/// Shared body of the [`PackedOnes`] implementations: validates every
+/// payload up front (so the fold below cannot fail mid-group), then
+/// folds groups of [`PACKED_BATCH`] payloads through a carry-save
+/// positional popcount — each 64-counter column costs one 3-2 adder
+/// tree plus a `trailing_zeros` walk over four count bit-planes, instead
+/// of eight separate per-set-bit walks. At the ~25% bit density the
+/// unary mechanisms produce, that roughly halves the counter-add work
+/// per report. Leftover payloads (and any prefix that precedes an
+/// invalid payload) go through the single-report walk.
 ///
 /// Returns `(applied, res)`: the number of payloads folded in, and the
-/// first validation error if one did not fit. State is identical to
-/// calling [`accumulate_packed_ones`] per payload in order, stopping at
-/// the first error — counter adds commute, so group order is
-/// unobservable.
+/// first validation error if one did not fit. Counter adds commute, so
+/// group order is unobservable.
 pub(crate) fn accumulate_packed_ones_batch(
     ones: &mut [u64],
     payloads: &[(&[u8], usize)],
 ) -> (usize, crate::Result<()>) {
+    let width = ones.len();
     let valid = payloads
         .iter()
-        .position(|&(bytes, bits)| {
-            bits != ones.len()
-                || bytes.len() != bits.div_ceil(8)
-                || (!bits.is_multiple_of(8) && bytes[bytes.len() - 1] >> (bits % 8) != 0)
-        })
+        .position(|&(bytes, bits)| check_packed_ones(width, bytes, bits).is_err())
         .unwrap_or(payloads.len());
     // One 3-2 adder tree: positional popcount of eight bit rows into
     // four count planes, added into 64 counters at plane weights.
@@ -537,8 +514,7 @@ pub(crate) fn accumulate_packed_ones_batch(
             }
         }
     }
-    let bits = ones.len();
-    let full_words = bits / 64;
+    let full_words = width / 64;
     let mut groups = payloads[..valid].chunks_exact(PACKED_BATCH);
     for group in &mut groups {
         for j in 0..full_words {
@@ -551,7 +527,7 @@ pub(crate) fn accumulate_packed_ones_batch(
         }
         // Partial trailing word: padding bits are validated zero, so the
         // zero-extended loads keep every plane inside the counter range.
-        if !bits.is_multiple_of(64) {
+        if !width.is_multiple_of(64) {
             let mut r = [0u64; PACKED_BATCH];
             for (row, &(bytes, _)) in r.iter_mut().zip(group) {
                 let rem = &bytes[full_words * 8..];
@@ -562,25 +538,13 @@ pub(crate) fn accumulate_packed_ones_batch(
             csa_fold(ones, full_words * 64, r);
         }
     }
-    for &(bytes, bits) in groups.remainder() {
-        accumulate_packed_ones(ones, bytes, bits).expect("validated above");
+    for &(bytes, _) in groups.remainder() {
+        add_packed_ones(ones, bytes);
     }
-    if valid == payloads.len() {
-        (valid, Ok(()))
-    } else {
-        let (bytes, bits) = payloads[valid];
-        let err = if bits != ones.len() {
-            crate::LdpError::Malformed(format!("report width {bits} != domain size {}", ones.len()))
-        } else if bytes.len() != bits.div_ceil(8) {
-            crate::LdpError::Malformed(format!(
-                "bit payload of {} bytes for {bits} bits",
-                bytes.len()
-            ))
-        } else {
-            crate::LdpError::Malformed("nonzero padding bits".into())
-        };
-        (valid, Err(err))
-    }
+    let res = payloads.get(valid).map_or(Ok(()), |&(bytes, bits)| {
+        check_packed_ones(width, bytes, bits)
+    });
+    (valid, res)
 }
 
 /// Runs a full collection round: randomizes `values` through `oracle`,

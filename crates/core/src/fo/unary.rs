@@ -23,7 +23,7 @@
 //! identical RNG streams for a given seed.
 
 use super::counters::{self, CounterState};
-use super::{batch, FoAggregator, FrequencyOracle, SetBitSampler};
+use super::{batch, FoAggregator, FrequencyOracle, PackedOnes, SetBitSampler};
 use crate::estimate::debiased_count_variance;
 use crate::privacy::Epsilon;
 use crate::{Error, Result};
@@ -218,6 +218,17 @@ impl CounterState for UnaryAggregator {
     crate::counter_fields!(Count n, Plane ones);
 }
 
+impl PackedOnes for UnaryAggregator {
+    fn accumulate_packed_batch(
+        &mut self,
+        payloads: &[(&[u8], usize)],
+    ) -> (usize, crate::Result<()>) {
+        let (applied, res) = super::accumulate_packed_ones_batch(&mut self.ones, payloads);
+        self.n += applied;
+        (applied, res)
+    }
+}
+
 impl FoAggregator for UnaryAggregator {
     type Report = BitVec;
 
@@ -237,27 +248,6 @@ impl FoAggregator for UnaryAggregator {
         }
         self.accumulate(report);
         Ok(())
-    }
-
-    fn try_accumulate_packed_bits(
-        &mut self,
-        bytes: &[u8],
-        bits: usize,
-    ) -> Option<crate::Result<()>> {
-        let res = super::accumulate_packed_ones(&mut self.ones, bytes, bits);
-        if res.is_ok() {
-            self.n += 1;
-        }
-        Some(res)
-    }
-
-    fn try_accumulate_packed_bits_batch(
-        &mut self,
-        payloads: &[(&[u8], usize)],
-    ) -> Option<(usize, crate::Result<()>)> {
-        let (applied, res) = super::accumulate_packed_ones_batch(&mut self.ones, payloads);
-        self.n += applied;
-        Some((applied, res))
     }
 
     fn reports(&self) -> usize {

@@ -119,16 +119,18 @@ pub trait StateSnapshot {
     fn restore_payload(&mut self, r: &mut WireReader<'_>) -> Result<()>;
 }
 
-/// Serializes `agg`'s state as one framed snapshot BLOB appended to
-/// `out`: `[SNAPSHOT_VERSION][state tag][uvarint len][payload]`.
-pub fn snapshot_to<S: StateSnapshot + ?Sized>(agg: &S, out: &mut Vec<u8>) {
+/// Appends one snapshot envelope to `out`:
+/// `[SNAPSHOT_VERSION][tag][uvarint len][payload]`, with the payload
+/// written in place by `payload`. The envelope of every durable BLOB:
+/// aggregator snapshots, service checkpoints, and window rings.
+pub fn put_envelope(out: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
     out.push(SNAPSHOT_VERSION);
-    out.push(agg.state_tag());
+    out.push(tag);
     // Reserve one byte for the length varint; payloads under 128 bytes
     // (most of them) need no splice.
     let len_pos = out.len();
     out.push(0);
-    agg.snapshot_payload(out);
+    payload(out);
     let payload_len = out.len() - len_pos - 1;
     if payload_len < 0x80 {
         out[len_pos] = payload_len as u8;
@@ -137,6 +139,40 @@ pub fn snapshot_to<S: StateSnapshot + ?Sized>(agg: &S, out: &mut Vec<u8>) {
         put_uvarint(&mut varint, payload_len as u64);
         out.splice(len_pos..=len_pos, varint);
     }
+}
+
+/// Opens one envelope written by [`put_envelope`] (and nothing else:
+/// trailing bytes are an error), returning its payload.
+///
+/// # Errors
+/// [`LdpError::VersionMismatch`] for a foreign version byte,
+/// [`LdpError::ReportTypeMismatch`] when the tag is not `tag`, and
+/// [`LdpError::Truncated`] / [`LdpError::Malformed`] for byte-level
+/// damage.
+pub fn open_envelope(bytes: &[u8], tag: u8) -> Result<&[u8]> {
+    let mut r = WireReader::new(bytes);
+    let version = r.u8()?;
+    if version != SNAPSHOT_VERSION {
+        return Err(LdpError::VersionMismatch {
+            got: version,
+            expected: SNAPSHOT_VERSION,
+        });
+    }
+    let got = r.u8()?;
+    if got != tag {
+        return Err(LdpError::ReportTypeMismatch { got, expected: tag });
+    }
+    let len = r.uvarint()?;
+    let len = usize::try_from(len)
+        .map_err(|_| LdpError::Malformed(format!("snapshot payload length {len} overflows")))?;
+    let payload = r.bytes(len)?;
+    r.finish()?;
+    Ok(payload)
+}
+
+/// Serializes `agg`'s state as one snapshot envelope appended to `out`.
+pub fn snapshot_to<S: StateSnapshot + ?Sized>(agg: &S, out: &mut Vec<u8>) {
+    put_envelope(out, agg.state_tag(), |out| agg.snapshot_payload(out));
 }
 
 /// [`snapshot_to`] into a fresh vector.
@@ -151,36 +187,13 @@ pub fn snapshot_vec<S: StateSnapshot + ?Sized>(agg: &S) -> Vec<u8> {
 /// trailing bytes are an error).
 ///
 /// # Errors
-/// [`LdpError::VersionMismatch`] for a foreign version byte,
-/// [`LdpError::ReportTypeMismatch`] when the tag is not `agg`'s state
-/// tag, [`LdpError::StateMismatch`] when the payload's configuration
-/// disagrees with `agg`, and [`LdpError::Truncated`] /
-/// [`LdpError::Malformed`] for byte-level damage. `agg` is unchanged on
-/// error.
+/// As [`open_envelope`] against `agg`'s state tag, plus
+/// [`LdpError::StateMismatch`] when the payload's configuration
+/// disagrees with `agg`. `agg` is unchanged on error.
 pub fn restore_from<S: StateSnapshot + ?Sized>(agg: &mut S, bytes: &[u8]) -> Result<()> {
-    let mut r = WireReader::new(bytes);
-    let version = r.u8()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(LdpError::VersionMismatch {
-            got: version,
-            expected: SNAPSHOT_VERSION,
-        });
-    }
-    let tag = r.u8()?;
-    if tag != agg.state_tag() {
-        return Err(LdpError::ReportTypeMismatch {
-            got: tag,
-            expected: agg.state_tag(),
-        });
-    }
-    let len = r.uvarint()?;
-    let len = usize::try_from(len)
-        .map_err(|_| LdpError::Malformed(format!("snapshot payload length {len} overflows")))?;
-    let payload = r.bytes(len)?;
-    r.finish()?;
-    let mut pr = WireReader::new(payload);
-    agg.restore_payload(&mut pr)?;
-    pr.finish()
+    let mut r = WireReader::new(open_envelope(bytes, agg.state_tag())?);
+    agg.restore_payload(&mut r)?;
+    r.finish()
 }
 
 // ---------------------------------------------------------------------

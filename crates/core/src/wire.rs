@@ -21,17 +21,19 @@
 //!   bytes come back as [`LdpError`], never as a panic or an
 //!   out-of-bounds index.
 //! * **[`ErasedMechanism`] / [`ErasedAggregator`]** — the object-safe
-//!   face of [`BatchMechanism`]: randomize-from-bytes on the client,
-//!   accumulate-from-bytes, merge, and estimate on the server, all
-//!   behind `dyn` so one collector service can host any mechanism a
+//!   face of [`BatchMechanism`]: typed inputs to frames on the client;
+//!   frame streams folded in ([`ErasedMechanism::accumulate_concat`]),
+//!   merge, and estimate on the server, all behind `dyn` so one
+//!   collector service can host any mechanism a
 //!   [`crate::protocol::Registry`] instantiates at runtime. The
 //!   [`ErasedBridge`] blanket implementation adapts any
-//!   [`WireMechanism`] (a [`BatchMechanism`] whose reports and inputs
-//!   have wire codecs), so dynamic dispatch reuses the same aggregators,
-//!   merge paths, and estimate code the fused generic engine drives —
-//!   the byte path is bit-identical to the generic path for a given RNG
-//!   seed (enforced by `tests/service_dispatch.rs` at the workspace
-//!   root).
+//!   [`WireMechanism`] (a [`BatchMechanism`] whose reports have a wire
+//!   codec and whose stream fold, [`WireMechanism::fold_frames`], is
+//!   chosen by its type), so dynamic dispatch reuses the same
+//!   aggregators, merge paths, and estimate code the fused generic
+//!   engine drives — the byte path is bit-identical to the generic path
+//!   for a given RNG seed (enforced by `tests/service_dispatch.rs` at
+//!   the workspace root).
 //!
 //! The scalar-vs-batch bit-identity contract of
 //! [`crate::fo::FrequencyOracle`] is what makes this work: a client that
@@ -39,7 +41,7 @@
 //! the aggregator state of the fused in-process path, because both
 //! consume the same RNG stream and fold into the same counters.
 
-use crate::fo::{FoAggregator, FrequencyOracle, SetBitSampler};
+use crate::fo::{FoAggregator, FrequencyOracle, PackedOnes, SetBitSampler, PACKED_BATCH};
 use crate::mech::BatchMechanism;
 use crate::protocol::ProtocolDescriptor;
 use crate::{LdpError, Result};
@@ -267,10 +269,10 @@ pub trait WireReport: Sized {
     fn decode_payload(r: &mut WireReader<'_>) -> Result<Self>;
 
     /// Parses the payload from `r` **into** an existing report, reusing
-    /// its storage where the type allows — the decode loop of a concat
-    /// stream ([`ErasedMechanism::accumulate_concat`]) calls this once
-    /// per frame with one scratch report, so fixed-width report types
-    /// ([`BitVec`], `Vec<f64>`) allocate nothing per frame.
+    /// its storage where the type allows — the default stream fold
+    /// ([`WireMechanism::fold_frames`]) calls this once per frame with
+    /// one scratch report, so fixed-width report types ([`BitVec`],
+    /// `Vec<f64>`) allocate nothing per frame.
     ///
     /// On success `self` equals what [`decode_payload`](Self::decode_payload)
     /// would have returned; on error its contents are unspecified (the
@@ -322,28 +324,30 @@ pub fn encode_report_vec<R: WireReport>(report: &R) -> Vec<u8> {
 /// [`LdpError::Truncated`], or [`LdpError::Malformed`] — never a panic.
 pub fn decode_report<R: WireReport>(frame: &[u8]) -> Result<R> {
     let mut pos = 0usize;
-    let f = next_frame(frame, &mut pos)?;
+    let payload = next_payload(frame, &mut pos, R::TAG)?;
     if pos != frame.len() {
         return Err(LdpError::Malformed(format!(
             "{} trailing bytes after frame",
             frame.len() - pos
         )));
     }
-    decode_report_payload(f)
-}
-
-/// Decodes the payload of an already-split [`Frame`], checking the tag.
-pub fn decode_report_payload<R: WireReport>(frame: Frame<'_>) -> Result<R> {
-    if frame.tag != R::TAG {
-        return Err(LdpError::ReportTypeMismatch {
-            got: frame.tag,
-            expected: R::TAG,
-        });
-    }
-    let mut r = WireReader::new(frame.payload);
+    let mut r = WireReader::new(payload);
     let report = R::decode_payload(&mut r)?;
     r.finish()?;
     Ok(report)
+}
+
+/// [`next_frame`], plus the check that the frame carries report type
+/// `tag`; returns the payload.
+fn next_payload<'a>(buf: &'a [u8], pos: &mut usize, tag: u8) -> Result<&'a [u8]> {
+    let frame = next_frame(buf, pos)?;
+    if frame.tag != tag {
+        return Err(LdpError::ReportTypeMismatch {
+            got: frame.tag,
+            expected: tag,
+        });
+    }
+    Ok(frame.payload)
 }
 
 // ---------------------------------------------------------------------
@@ -604,19 +608,13 @@ impl WireReport for HrReport {
 }
 
 // ---------------------------------------------------------------------
-// Input codec.
+// Client inputs.
 // ---------------------------------------------------------------------
 
-/// A client input type that can cross the erased API as bytes: the
-/// input-side counterpart of [`WireReport`]. Items travel as varints,
-/// bounded reals as 8-byte little-endian `f64`.
+/// A client input type the erased API can hand to a mechanism: `u64`
+/// items or `f64` reals, the two input shapes [`ErasedMechanism`]
+/// takes.
 pub trait WireInput: Sized {
-    /// Appends the encoded input to `out`.
-    fn encode_input(&self, out: &mut Vec<u8>);
-
-    /// Parses one input from exactly `bytes`.
-    fn decode_input(bytes: &[u8]) -> Result<Self>;
-
     /// Views an item batch as a batch of this input type, when the two
     /// coincide (`u64` only) — what lets the erased batch path hand a
     /// `&[u64]` population straight to an item mechanism without
@@ -629,17 +627,6 @@ pub trait WireInput: Sized {
 }
 
 impl WireInput for u64 {
-    fn encode_input(&self, out: &mut Vec<u8>) {
-        put_uvarint(out, *self);
-    }
-
-    fn decode_input(bytes: &[u8]) -> Result<Self> {
-        let mut r = WireReader::new(bytes);
-        let v = r.uvarint()?;
-        r.finish()?;
-        Ok(v)
-    }
-
     fn items_as_inputs(items: &[u64]) -> Option<&[Self]> {
         Some(items)
     }
@@ -650,17 +637,6 @@ impl WireInput for u64 {
 }
 
 impl WireInput for f64 {
-    fn encode_input(&self, out: &mut Vec<u8>) {
-        put_f64_le(out, *self);
-    }
-
-    fn decode_input(bytes: &[u8]) -> Result<Self> {
-        let mut r = WireReader::new(bytes);
-        let v = r.f64_le()?;
-        r.finish()?;
-        Ok(v)
-    }
-
     fn items_as_inputs(_items: &[u64]) -> Option<&[Self]> {
         None
     }
@@ -744,6 +720,53 @@ pub trait WireMechanism: BatchMechanism {
         ReportOf<Self>: WireReport,
     {
         self.try_randomize_batch(inputs, rng, |r| encode_report(r, out))
+    }
+
+    /// Server side: folds a concatenated frame stream into `agg`,
+    /// returning how many frames were folded in alongside the outcome.
+    /// The stream stops at the first bad frame; the count names the
+    /// frames **already folded in** (`agg` keeps them). Every frame is
+    /// validated before any counter moves, so a bad frame leaves no
+    /// trace of itself.
+    ///
+    /// The default decodes every frame into one scratch report
+    /// ([`WireReport::decode_payload_into`]: no per-frame allocation for
+    /// fixed-width report types) and folds it through
+    /// [`FoAggregator::try_accumulate`]. [`FusedUnaryMechanism`]
+    /// overrides it to fold bit-vector payloads straight into the
+    /// counters, eight at a time. Overrides must leave the state the
+    /// default would.
+    ///
+    /// # Errors
+    /// Any [`LdpError`] for a malformed or truncated frame, a foreign
+    /// version or tag, or a report that does not fit the mechanism's
+    /// configuration — never a panic.
+    fn fold_frames(&self, agg: &mut Self::Aggregator, stream: &[u8]) -> (usize, Result<()>)
+    where
+        ReportOf<Self>: WireReport,
+    {
+        let mut pos = 0usize;
+        let mut n = 0usize;
+        let mut scratch: Option<ReportOf<Self>> = None;
+        while pos < stream.len() {
+            let folded = next_payload(stream, &mut pos, ReportOf::<Self>::TAG).and_then(|p| {
+                let mut r = WireReader::new(p);
+                let report = match scratch {
+                    Some(ref mut s) => {
+                        s.decode_payload_into(&mut r)?;
+                        s
+                    }
+                    None => scratch.insert(ReportOf::<Self>::decode_payload(&mut r)?),
+                };
+                r.finish()?;
+                agg.try_accumulate(report)
+            });
+            if let Err(e) = folded {
+                return (n, Err(e));
+            }
+            n += 1;
+        }
+        (n, Ok(()))
     }
 }
 
@@ -906,12 +929,54 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
         }
         Ok(())
     }
+
+    /// The packed lane: each frame's payload bytes go straight to the
+    /// counters ([`PackedOnes::accumulate_packed_batch`]), eight frames
+    /// per carry-save fold, with no scratch report in between.
+    fn fold_frames(&self, agg: &mut O::Aggregator, stream: &[u8]) -> (usize, Result<()>) {
+        let mut pos = 0usize;
+        let mut n = 0usize;
+        let mut pending: Vec<(&[u8], usize)> = Vec::with_capacity(PACKED_BATCH);
+        while pos < stream.len() {
+            match next_payload(stream, &mut pos, tag::BITS).and_then(packed_bits) {
+                Ok(payload) => pending.push(payload),
+                Err(e) => {
+                    // The buffered frames precede the bad one.
+                    let (applied, res) = agg.accumulate_packed_batch(&pending);
+                    return (n + applied, res.and(Err(e)));
+                }
+            }
+            if pending.len() == PACKED_BATCH {
+                let (applied, res) = agg.accumulate_packed_batch(&pending);
+                n += applied;
+                if res.is_err() {
+                    return (n, res);
+                }
+                pending.clear();
+            }
+        }
+        let (applied, res) = agg.accumulate_packed_batch(&pending);
+        (n + applied, res)
+    }
+}
+
+/// Splits a [`BitVec`] payload ([`put_bitvec`]) into its packed bytes and
+/// bit width, checking only that the bytes are all there; the width and
+/// padding checks are the aggregator's.
+fn packed_bits(payload: &[u8]) -> Result<(&[u8], usize)> {
+    let mut r = WireReader::new(payload);
+    let len = r.uvarint()?;
+    let bits = usize::try_from(len)
+        .map_err(|_| LdpError::Malformed(format!("bit length {len} overflows usize")))?;
+    let bytes = r.bytes(bits.div_ceil(8))?;
+    r.finish()?;
+    Ok((bytes, bits))
 }
 
 /// The object-safe server-side state behind a collector: a mechanism's
 /// aggregator with its concrete types erased. Obtained from
 /// [`ErasedMechanism::new_erased_aggregator`]; frames are folded in
-/// through [`ErasedMechanism::accumulate_from_bytes`] (the mechanism
+/// through [`ErasedMechanism::accumulate_concat`] (the mechanism
 /// carries the codec and validation, the aggregator carries the state).
 pub trait ErasedAggregator: Send {
     /// Number of reports accumulated so far.
@@ -980,9 +1045,10 @@ pub trait ErasedAggregator: Send {
 }
 
 /// The object-safe face of a mechanism: everything a collector service
-/// needs behind `dyn` — randomize-from-bytes on the client side,
-/// accumulate-from-bytes on the server side, plus aggregator creation.
-/// Built from a [`crate::protocol::ProtocolDescriptor`] through a
+/// needs behind `dyn` — typed inputs to report frames on the client
+/// side, frame streams folded into an aggregator on the server side,
+/// plus aggregator creation. Built from a
+/// [`crate::protocol::ProtocolDescriptor`] through a
 /// [`crate::protocol::Registry`].
 pub trait ErasedMechanism: Send + Sync {
     /// The descriptor this instance was built from.
@@ -991,19 +1057,21 @@ pub trait ErasedMechanism: Send + Sync {
     /// The frame tag of this mechanism's report type.
     fn report_tag(&self) -> u8;
 
-    /// Client side: decodes one wire-encoded input (a varint item or an
-    /// 8-byte little-endian real — see [`WireInput`]), privatizes it,
-    /// and appends the report's wire frame to `out`.
+    /// Client side: privatizes one item input and appends the report's
+    /// wire frame to `out`.
     ///
     /// # Errors
-    /// Any [`LdpError`] for undecodable or out-of-domain inputs — never
-    /// a panic.
-    fn randomize_from_bytes(
-        &self,
-        input: &[u8],
-        rng: &mut dyn RngCore,
-        out: &mut Vec<u8>,
-    ) -> Result<()>;
+    /// [`LdpError::InvalidParameter`] for an out-of-domain value or a
+    /// mechanism that does not take item inputs — never a panic.
+    fn randomize_item(&self, value: u64, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()>;
+
+    /// Client side for real-valued mechanisms (1BitMean): privatizes one
+    /// real input and appends the report's wire frame to `out`.
+    ///
+    /// # Errors
+    /// [`LdpError::InvalidParameter`] for an out-of-range value or a
+    /// mechanism that takes item inputs — never a panic.
+    fn randomize_real(&self, value: f64, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()>;
 
     /// Client batch side: privatizes a whole item population into wire
     /// frames appended to `out`, drawing from a **monomorphized**
@@ -1022,8 +1090,8 @@ pub trait ErasedMechanism: Send + Sync {
         -> Result<()>;
 
     /// Client batch side for real-valued mechanisms (1BitMean); the
-    /// monomorphized counterpart of feeding each value through
-    /// [`Self::randomize_from_bytes`]. Same seed semantics as
+    /// monomorphized counterpart of calling [`Self::randomize_real`] per
+    /// value. Same seed semantics as
     /// [`Self::randomize_items_to_frames`].
     ///
     /// # Errors
@@ -1036,69 +1104,23 @@ pub trait ErasedMechanism: Send + Sync {
     #[must_use]
     fn new_erased_aggregator(&self) -> Box<dyn ErasedAggregator>;
 
-    /// Server side: decodes one report frame, validates it against this
-    /// mechanism's configuration, and folds it into `agg`.
+    /// Server side: folds a concatenated frame stream (one frame or
+    /// many) into `agg` through the mechanism's
+    /// [`WireMechanism::fold_frames`], returning how many frames were
+    /// ingested alongside the outcome. On error the returned count names
+    /// the frames **already folded in** (the stream stops at the first
+    /// bad frame; `agg` keeps them), so callers can account for partial
+    /// batches; the bad frame itself leaves `agg` untouched.
     ///
     /// # Errors
-    /// Any [`LdpError`] for malformed/truncated frames, foreign
-    /// versions or tags, reports that don't fit the mechanism's shape,
-    /// or an `agg` that belongs to a different mechanism — never a
-    /// panic.
-    fn accumulate_from_bytes(&self, agg: &mut dyn ErasedAggregator, frame: &[u8]) -> Result<()> {
-        let mut pos = 0usize;
-        let f = next_frame(frame, &mut pos)?;
-        if pos != frame.len() {
-            return Err(LdpError::Malformed(format!(
-                "{} trailing bytes after frame",
-                frame.len() - pos
-            )));
-        }
-        self.accumulate_frame(agg, f)
-    }
-
-    /// Server side for batched transports: folds one already-split
-    /// [`Frame`] into `agg`, so a stream iterator (`next_frame`) parses
-    /// each header exactly once.
-    ///
-    /// # Errors
-    /// As [`Self::accumulate_from_bytes`], minus the header errors
-    /// `next_frame` already caught.
-    fn accumulate_frame(&self, agg: &mut dyn ErasedAggregator, frame: Frame<'_>) -> Result<()>;
-
-    /// Server fast path: folds a whole concatenated frame stream into
-    /// `agg`, returning how many frames were ingested alongside the
-    /// outcome. On error the returned count names the frames **already
-    /// folded in** (the stream stops at the first bad frame; `agg`
-    /// keeps them), so callers can account for partial batches.
-    ///
-    /// The default loops [`Self::accumulate_frame`]; the bridge
-    /// overrides it to pay the aggregator downcast **once per stream**
-    /// instead of once per frame and to decode every frame into one
-    /// scratch report ([`WireReport::decode_payload_into`]) — zero
-    /// per-frame allocation for fixed-width report types.
-    ///
-    /// # Errors
-    /// As [`Self::accumulate_from_bytes`], carried next to the count of
-    /// frames that preceded the failure.
+    /// Any [`LdpError`] for malformed/truncated frames, foreign versions
+    /// or tags, reports that don't fit the mechanism's shape, or an
+    /// `agg` that belongs to a different mechanism — never a panic.
     fn accumulate_concat(
         &self,
         agg: &mut dyn ErasedAggregator,
         stream: &[u8],
-    ) -> (usize, Result<()>) {
-        let mut pos = 0usize;
-        let mut n = 0usize;
-        while pos < stream.len() {
-            let frame = match next_frame(stream, &mut pos) {
-                Ok(f) => f,
-                Err(e) => return (n, Err(e)),
-            };
-            if let Err(e) = self.accumulate_frame(agg, frame) {
-                return (n, Err(e));
-            }
-            n += 1;
-        }
-        (n, Ok(()))
-    }
+    ) -> (usize, Result<()>);
 }
 
 impl std::fmt::Debug for dyn ErasedMechanism + '_ {
@@ -1141,6 +1163,29 @@ impl<M: WireMechanism> ErasedBridge<M> {
     /// The wrapped mechanism.
     pub fn mechanism(&self) -> &M {
         &self.mech
+    }
+}
+
+impl<M: WireMechanism> ErasedBridge<M>
+where
+    M::Input: WireInput,
+{
+    /// `values` as this mechanism's inputs, if it takes items.
+    fn items<'a>(&self, values: &'a [u64]) -> Result<&'a [M::Input]> {
+        M::Input::items_as_inputs(values).ok_or_else(|| self.refuses("item"))
+    }
+
+    /// `values` as this mechanism's inputs, if it takes reals.
+    fn reals<'a>(&self, values: &'a [f64]) -> Result<&'a [M::Input]> {
+        M::Input::reals_as_inputs(values).ok_or_else(|| self.refuses("real-valued"))
+    }
+
+    /// The error for an input shape this mechanism does not take.
+    fn refuses(&self, shape: &str) -> LdpError {
+        LdpError::InvalidParameter(format!(
+            "{} does not take {shape} inputs",
+            self.descriptor.kind().name()
+        ))
     }
 }
 
@@ -1219,14 +1264,18 @@ where
         <ReportOf<M> as WireReport>::TAG
     }
 
-    fn randomize_from_bytes(
-        &self,
-        input: &[u8],
-        rng: &mut dyn RngCore,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let input = M::Input::decode_input(input)?;
-        let report = self.mech.try_randomize_input(&input, rng)?;
+    fn randomize_item(&self, value: u64, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()> {
+        let report = self
+            .mech
+            .try_randomize_input(&self.items(&[value])?[0], rng)?;
+        encode_report(&report, out);
+        Ok(())
+    }
+
+    fn randomize_real(&self, value: f64, rng: &mut dyn RngCore, out: &mut Vec<u8>) -> Result<()> {
+        let report = self
+            .mech
+            .try_randomize_input(&self.reals(&[value])?[0], rng)?;
         encode_report(&report, out);
         Ok(())
     }
@@ -1237,14 +1286,9 @@ where
         seed: u64,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let inputs = M::Input::items_as_inputs(values).ok_or_else(|| {
-            LdpError::InvalidParameter(format!(
-                "{} does not take item inputs",
-                self.descriptor.kind().name()
-            ))
-        })?;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.mech.try_randomize_frames(inputs, &mut rng, out)
+        self.mech
+            .try_randomize_frames(self.items(values)?, &mut rng, out)
     }
 
     fn randomize_reals_to_frames(
@@ -1253,14 +1297,9 @@ where
         seed: u64,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let inputs = M::Input::reals_as_inputs(values).ok_or_else(|| {
-            LdpError::InvalidParameter(format!(
-                "{} does not take real-valued inputs",
-                self.descriptor.kind().name()
-            ))
-        })?;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.mech.try_randomize_frames(inputs, &mut rng, out)
+        self.mech
+            .try_randomize_frames(self.reals(values)?, &mut rng, out)
     }
 
     fn new_erased_aggregator(&self) -> Box<dyn ErasedAggregator> {
@@ -1269,242 +1308,20 @@ where
         })
     }
 
-    fn accumulate_frame(&self, agg: &mut dyn ErasedAggregator, frame: Frame<'_>) -> Result<()> {
-        let report = decode_report_payload::<ReportOf<M>>(frame)?;
-        let slot = agg
-            .as_any_mut()
-            .downcast_mut::<BridgedAggregator<M>>()
-            .ok_or_else(|| {
-                LdpError::Malformed("accumulate: erased aggregator type mismatch".into())
-            })?;
-        slot.agg.try_accumulate(&report)
-    }
-
-    /// One downcast per stream, one scratch report reused across every
-    /// frame — the payload→counter fast path the per-frame
-    /// [`accumulate_frame`](ErasedMechanism::accumulate_frame) loop
-    /// cannot reach.
     fn accumulate_concat(
         &self,
         agg: &mut dyn ErasedAggregator,
         stream: &[u8],
     ) -> (usize, Result<()>) {
-        let Some(slot) = agg.as_any_mut().downcast_mut::<BridgedAggregator<M>>() else {
-            return (
+        match agg.as_any_mut().downcast_mut::<BridgedAggregator<M>>() {
+            Some(slot) => self.mech.fold_frames(&mut slot.agg, stream),
+            None => (
                 0,
                 Err(LdpError::Malformed(
                     "accumulate: erased aggregator type mismatch".into(),
                 )),
-            );
-        };
-        let expected = <ReportOf<M> as WireReport>::TAG;
-        let mut pos = 0usize;
-        let mut n = 0usize;
-        let mut scratch: Option<ReportOf<M>> = None;
-        // Optimistic packed lane for bit-vector streams: buffer the raw
-        // payload bytes of up to `PACKED_BATCH` frames and hand them to
-        // the aggregator's counters in one batched call
-        // ([`FoAggregator::try_accumulate_packed_bits_batch`]), skipping
-        // even the scratch-report copy. Cleared at the first flush if
-        // this aggregator has no packed path (the buffered frames then
-        // drain through the scratch decode below).
-        let mut packed = expected == tag::BITS;
-        let mut pending: Vec<(&[u8], usize)> = Vec::new();
-        let mut pending_full: Vec<&[u8]> = Vec::new();
-        while pos < stream.len() {
-            let frame = match next_frame(stream, &mut pos) {
-                Ok(f) => f,
-                Err(e) => {
-                    return flush_and_fail(
-                        slot,
-                        &mut scratch,
-                        &mut pending,
-                        &mut pending_full,
-                        n,
-                        e,
-                    )
-                }
-            };
-            if frame.tag != expected {
-                let e = LdpError::ReportTypeMismatch {
-                    got: frame.tag,
-                    expected,
-                };
-                return flush_and_fail(slot, &mut scratch, &mut pending, &mut pending_full, n, e);
-            }
-            if packed {
-                let mut r = WireReader::new(frame.payload);
-                let bits = match r.uvarint().and_then(|len| {
-                    usize::try_from(len).map_err(|_| {
-                        LdpError::Malformed(format!("bit length {len} overflows usize"))
-                    })
-                }) {
-                    Ok(bits) => bits,
-                    Err(e) => {
-                        return flush_and_fail(
-                            slot,
-                            &mut scratch,
-                            &mut pending,
-                            &mut pending_full,
-                            n,
-                            e,
-                        )
-                    }
-                };
-                let bytes = match r.bytes(bits.div_ceil(8)).and_then(|b| {
-                    r.finish()?;
-                    Ok(b)
-                }) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        return flush_and_fail(
-                            slot,
-                            &mut scratch,
-                            &mut pending,
-                            &mut pending_full,
-                            n,
-                            e,
-                        )
-                    }
-                };
-                pending.push((bytes, bits));
-                pending_full.push(frame.payload);
-                if pending.len() == crate::fo::PACKED_BATCH {
-                    let (applied, res) = flush_packed_pending(
-                        slot,
-                        &mut scratch,
-                        &mut pending,
-                        &mut pending_full,
-                        &mut packed,
-                    );
-                    n += applied;
-                    if let Err(e) = res {
-                        return (n, Err(e));
-                    }
-                }
-                continue;
-            }
-            let mut r = WireReader::new(frame.payload);
-            let decoded = match scratch.as_mut() {
-                Some(s) => s.decode_payload_into(&mut r),
-                None => match <ReportOf<M>>::decode_payload(&mut r) {
-                    Ok(first) => {
-                        scratch = Some(first);
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            if let Err(e) = decoded.and_then(|()| r.finish()) {
-                return (n, Err(e));
-            }
-            if let Err(e) = slot
-                .agg
-                .try_accumulate(scratch.as_ref().expect("decoded above"))
-            {
-                return (n, Err(e));
-            }
-            n += 1;
+            ),
         }
-        let (applied, res) = flush_packed_pending(
-            slot,
-            &mut scratch,
-            &mut pending,
-            &mut pending_full,
-            &mut packed,
-        );
-        n += applied;
-        if let Err(e) = res {
-            return (n, Err(e));
-        }
-        (n, Ok(()))
-    }
-}
-
-/// Drains the packed lane's buffered payloads into the aggregator — the
-/// batched counter fold when the aggregator supports it, the scratch
-/// decode otherwise (which also steers the rest of the stream off the
-/// packed lane via `packed`). Returns how many buffered frames were
-/// folded in and the first error hit, and always leaves both buffers
-/// empty.
-fn flush_packed_pending<M>(
-    slot: &mut BridgedAggregator<M>,
-    scratch: &mut Option<ReportOf<M>>,
-    pending: &mut Vec<(&[u8], usize)>,
-    pending_full: &mut Vec<&[u8]>,
-    packed: &mut bool,
-) -> (usize, Result<()>)
-where
-    M: WireMechanism + Send + Sync + 'static,
-    M::Input: WireInput,
-    M::Aggregator: Send + 'static,
-    ReportOf<M>: WireReport,
-{
-    if pending.is_empty() {
-        return (0, Ok(()));
-    }
-    let out = match slot.agg.try_accumulate_packed_bits_batch(pending) {
-        Some(res) => res,
-        None => {
-            *packed = false;
-            let mut applied = 0usize;
-            let mut res = Ok(());
-            for payload in pending_full.iter() {
-                let mut r = WireReader::new(payload);
-                let decoded = match scratch.as_mut() {
-                    Some(s) => s.decode_payload_into(&mut r),
-                    None => match <ReportOf<M>>::decode_payload(&mut r) {
-                        Ok(first) => {
-                            *scratch = Some(first);
-                            Ok(())
-                        }
-                        Err(e) => Err(e),
-                    },
-                };
-                if let Err(e) = decoded.and_then(|()| r.finish()) {
-                    res = Err(e);
-                    break;
-                }
-                if let Err(e) = slot
-                    .agg
-                    .try_accumulate(scratch.as_ref().expect("decoded above"))
-                {
-                    res = Err(e);
-                    break;
-                }
-                applied += 1;
-            }
-            (applied, res)
-        }
-    };
-    pending.clear();
-    pending_full.clear();
-    out
-}
-
-/// Error path of the packed lane: flush what is buffered (those frames
-/// precede the failing one), then report the earlier of the flush error
-/// and `err`.
-fn flush_and_fail<M>(
-    slot: &mut BridgedAggregator<M>,
-    scratch: &mut Option<ReportOf<M>>,
-    pending: &mut Vec<(&[u8], usize)>,
-    pending_full: &mut Vec<&[u8]>,
-    n: usize,
-    err: LdpError,
-) -> (usize, Result<()>)
-where
-    M: WireMechanism + Send + Sync + 'static,
-    M::Input: WireInput,
-    M::Aggregator: Send + 'static,
-    ReportOf<M>: WireReport,
-{
-    let mut packed = true;
-    let (applied, res) = flush_packed_pending(slot, scratch, pending, pending_full, &mut packed);
-    let n = n + applied;
-    match res {
-        Err(flush_err) => (n, Err(flush_err)),
-        Ok(()) => (n, Err(err)),
     }
 }
 
@@ -1683,8 +1500,9 @@ mod tests {
         assert!(out.is_empty(), "validation precedes any output");
     }
 
-    /// `accumulate_concat` folds the same state the per-frame loop
-    /// folds, and reports the partial count on a mid-stream error.
+    /// `accumulate_concat` over the whole stream folds the same state as
+    /// one call per frame, and reports the partial count on a
+    /// mid-stream error.
     #[test]
     fn accumulate_concat_matches_frame_loop_and_counts_partials() {
         let oracle = DirectEncoding::new(16, Epsilon::new(1.0).unwrap()).unwrap();
@@ -1709,8 +1527,11 @@ mod tests {
         let mut slow = bridge.new_erased_aggregator();
         let mut pos = 0usize;
         while pos < stream.len() {
-            let f = next_frame(&stream, &mut pos).unwrap();
-            bridge.accumulate_frame(slow.as_mut(), f).unwrap();
+            let start = pos;
+            next_frame(&stream, &mut pos).unwrap();
+            let (n, res) = bridge.accumulate_concat(slow.as_mut(), &stream[start..pos]);
+            res.unwrap();
+            assert_eq!(n, 1);
         }
         assert_eq!(fast.estimate(), slow.estimate());
         assert_eq!(fast.reports(), slow.reports());
@@ -1736,21 +1557,18 @@ mod tests {
         let mut agg = bridge.new_erased_aggregator();
 
         let mut rng = StdRng::seed_from_u64(3);
-        let mut input = Vec::new();
-        5u64.encode_input(&mut input);
         let mut frame = Vec::new();
-        bridge
-            .randomize_from_bytes(&input, &mut rng, &mut frame)
-            .unwrap();
-        bridge.accumulate_from_bytes(agg.as_mut(), &frame).unwrap();
+        bridge.randomize_item(5, &mut rng, &mut frame).unwrap();
+        let (n, res) = bridge.accumulate_concat(agg.as_mut(), &frame);
+        res.unwrap();
+        assert_eq!(n, 1);
         assert_eq!(agg.reports(), 1);
 
-        // Out-of-domain input is an error, not a panic.
-        let mut input = Vec::new();
-        16u64.encode_input(&mut input);
+        // Out-of-domain input is an error, not a panic; so is a real
+        // input to an item mechanism.
         let mut out = Vec::new();
-        assert!(bridge
-            .randomize_from_bytes(&input, &mut rng, &mut out)
-            .is_err());
+        assert!(bridge.randomize_item(16, &mut rng, &mut out).is_err());
+        assert!(bridge.randomize_real(5.0, &mut rng, &mut out).is_err());
+        assert!(out.is_empty());
     }
 }

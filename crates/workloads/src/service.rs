@@ -58,9 +58,9 @@
 //! ```
 
 use ldp_core::protocol::{ProtocolDescriptor, Registry};
-use ldp_core::snapshot::{state_tag, SNAPSHOT_VERSION};
+use ldp_core::snapshot::{open_envelope, put_envelope, state_tag};
 use ldp_core::wire::{
-    put_u64_le, put_uvarint, uvarint_array, ErasedAggregator, ErasedMechanism, WireReader,
+    next_frame, put_u64_le, put_uvarint, ErasedAggregator, ErasedMechanism, WireReader,
 };
 use ldp_core::{LdpError, Result};
 use rand::RngCore;
@@ -165,10 +165,7 @@ impl WireClient {
         rng: &mut dyn RngCore,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        // Items cross the input codec as varints; encode on the stack
-        // (`WireInput for u64` is the same LEB128 bytes).
-        let (buf, n) = uvarint_array(value);
-        self.mech.randomize_from_bytes(&buf[..n], rng, out)
+        self.mech.randomize_item(value, rng, out)
     }
 
     /// Randomizes one real-valued input (1BitMean) and appends its wire
@@ -183,10 +180,7 @@ impl WireClient {
         rng: &mut dyn RngCore,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        // Reals cross the input codec as 8 little-endian IEEE-754 bytes
-        // (`WireInput for f64`) — a stack array, not a per-call `Vec`.
-        self.mech
-            .randomize_from_bytes(&value.to_le_bytes(), rng, out)
+        self.mech.randomize_real(value, rng, out)
     }
 
     /// Randomizes an item population into per-shard frame buffers,
@@ -337,15 +331,23 @@ impl CollectorService {
     /// current-version frame of this mechanism's report type; the
     /// aggregate state is unchanged on error.
     pub fn ingest(&mut self, frame: &[u8]) -> Result<()> {
-        self.mech.accumulate_from_bytes(self.agg.as_mut(), frame)
+        let mut pos = 0usize;
+        next_frame(frame, &mut pos)?;
+        if pos != frame.len() {
+            return Err(LdpError::Malformed(format!(
+                "{} trailing bytes after frame",
+                frame.len() - pos
+            )));
+        }
+        self.mech.accumulate_concat(self.agg.as_mut(), frame).1
     }
 
     /// Ingests a buffer of back-to-back frames (the batched transport
     /// shape: one network payload carrying many reports), returning how
-    /// many frames were folded in. Rides the mechanism's
-    /// [`ErasedMechanism::accumulate_concat`] fast path: one aggregator
-    /// downcast per stream and one reused scratch report, instead of
-    /// per-frame dispatch.
+    /// many frames were folded in. One aggregator downcast per stream,
+    /// then the mechanism's own stream fold
+    /// ([`ldp_core::wire::WireMechanism::fold_frames`]): a reused
+    /// scratch report, or for the unary family the packed counter fold.
     ///
     /// # Errors
     /// Stops at the first bad frame; the [`IngestError`] carries both
@@ -447,16 +449,13 @@ impl CollectorService {
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
         let desc = self.descriptor().to_bytes();
-        let mut payload = Vec::with_capacity(desc.len() + 64);
-        put_uvarint(&mut payload, desc.len() as u64);
-        payload.extend_from_slice(&desc);
-        put_u64_le(&mut payload, self.descriptor().stable_hash());
-        self.agg.snapshot(&mut payload);
-        let mut out = Vec::with_capacity(payload.len() + 12);
-        out.push(SNAPSHOT_VERSION);
-        out.push(state_tag::SERVICE_CHECKPOINT);
-        put_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+        let mut out = Vec::with_capacity(desc.len() + 64);
+        put_envelope(&mut out, state_tag::SERVICE_CHECKPOINT, |out| {
+            put_uvarint(out, desc.len() as u64);
+            out.extend_from_slice(&desc);
+            put_u64_le(out, self.descriptor().stable_hash());
+            self.agg.snapshot(out);
+        });
         out
     }
 
@@ -506,27 +505,7 @@ impl CollectorService {
 /// Splits one checkpoint BLOB into its re-validated descriptor and the
 /// embedded aggregator state BLOB.
 fn parse_checkpoint(bytes: &[u8]) -> Result<(ProtocolDescriptor, &[u8])> {
-    let mut r = WireReader::new(bytes);
-    let version = r.u8()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(LdpError::VersionMismatch {
-            got: version,
-            expected: SNAPSHOT_VERSION,
-        });
-    }
-    let tag = r.u8()?;
-    if tag != state_tag::SERVICE_CHECKPOINT {
-        return Err(LdpError::ReportTypeMismatch {
-            got: tag,
-            expected: state_tag::SERVICE_CHECKPOINT,
-        });
-    }
-    let len = r.uvarint()?;
-    let len = usize::try_from(len)
-        .map_err(|_| LdpError::Malformed(format!("checkpoint length {len} overflows")))?;
-    let payload = r.bytes(len)?;
-    r.finish()?;
-    let mut pr = WireReader::new(payload);
+    let mut pr = WireReader::new(open_envelope(bytes, state_tag::SERVICE_CHECKPOINT)?);
     let desc_len = pr.uvarint()?;
     let desc_len = usize::try_from(desc_len)
         .map_err(|_| LdpError::Malformed(format!("descriptor length {desc_len} overflows")))?;
@@ -739,6 +718,79 @@ mod tests {
         // `?`-conversion into the workspace error keeps the cause.
         let as_ldp: LdpError = err.into();
         assert!(matches!(as_ldp, LdpError::Truncated { .. }));
+    }
+
+    /// The unary packed lane folds frames in groups of eight; a bad frame
+    /// at any position must leave exactly the frames before it folded,
+    /// whether it lands mid-group or on a group boundary. d = 100 has a
+    /// partial last byte and a partial last word.
+    #[test]
+    fn packed_lane_partial_batches_match_per_frame_ingest() {
+        use ldp_core::wire::{next_frame, tag};
+        const D: u64 = 100;
+        for kind in [
+            MechanismKind::OptimizedUnary,
+            MechanismKind::ThresholdHistogram,
+        ] {
+            let desc = ProtocolDescriptor::builder(kind)
+                .domain_size(D)
+                .epsilon(1.0)
+                .build()
+                .unwrap();
+            let client = WireClient::from_descriptor(&desc).unwrap();
+            let values: Vec<u64> = (0..20).map(|i| (i * 7) % D).collect();
+            let mut stream = Vec::new();
+            client.frames_for_shard(&values, 5, 0, &mut stream).unwrap();
+            let mut frames = Vec::new();
+            let mut pos = 0usize;
+            while pos < stream.len() {
+                let start = pos;
+                next_frame(&stream, &mut pos).unwrap();
+                frames.push(&stream[start..pos]);
+            }
+            assert_eq!(frames.len(), 20);
+            let mut wide = Vec::new();
+            let mut rng = StdRng::seed_from_u64(1);
+            let other = ProtocolDescriptor::builder(kind)
+                .domain_size(D + 1)
+                .epsilon(1.0)
+                .build()
+                .unwrap();
+            WireClient::from_descriptor(&other)
+                .unwrap()
+                .randomize_item(3, &mut rng, &mut wide)
+                .unwrap();
+            for name in ["padding", "width", "tag", "truncated"] {
+                for k in 0..frames.len() {
+                    let mut bad = frames[..k].concat();
+                    let mut frame = frames[k].to_vec();
+                    match name {
+                        "padding" => *frame.last_mut().unwrap() |= 0x80,
+                        "width" => frame.clone_from(&wide),
+                        "tag" => frame[1] = tag::ITEM,
+                        _ => {
+                            frame.pop();
+                        }
+                    }
+                    bad.extend_from_slice(&frame);
+                    if name != "truncated" {
+                        bad.extend_from_slice(&frames[k + 1..].concat());
+                    }
+                    let mut batched = CollectorService::from_descriptor(&desc).unwrap();
+                    let err = batched.ingest_concat(&bad).unwrap_err();
+                    assert_eq!(err.ingested, k, "{kind:?} {name} at {k}");
+                    let mut one_by_one = CollectorService::from_descriptor(&desc).unwrap();
+                    for f in &frames[..k] {
+                        one_by_one.ingest(f).unwrap();
+                    }
+                    assert_eq!(
+                        batched.checkpoint(),
+                        one_by_one.checkpoint(),
+                        "{kind:?} {name} at {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ldp_core::protocol::ProtocolDescriptor;
-use ldp_core::snapshot::{state_tag, SNAPSHOT_VERSION};
+use ldp_core::snapshot::{open_envelope, put_envelope, state_tag};
 use ldp_core::wire::{put_f64_le, put_u64_le, put_uvarint, WireReader};
 use ldp_core::{Epsilon, LdpError, PrivacyBudget, Result};
 
@@ -444,37 +444,33 @@ impl WindowRing {
     /// [`CollectorService::checkpoint`] BLOBs.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_u64_le(&mut payload, self.config.window_len);
-        put_uvarint(&mut payload, self.config.windows as u64);
-        match self.config.decay {
-            Some(lambda) => {
-                payload.push(1);
-                put_f64_le(&mut payload, lambda);
+        let mut out = Vec::new();
+        put_envelope(&mut out, state_tag::WINDOW_RING, |out| {
+            put_u64_le(out, self.config.window_len);
+            put_uvarint(out, self.config.windows as u64);
+            match self.config.decay {
+                Some(lambda) => {
+                    out.push(1);
+                    put_f64_le(out, lambda);
+                }
+                None => out.push(0),
             }
-            None => payload.push(0),
-        }
-        put_u64_le(&mut payload, self.stats.frames_ingested);
-        put_u64_le(&mut payload, self.stats.late_dropped);
-        put_u64_le(&mut payload, self.stats.retired_subtract);
-        put_u64_le(&mut payload, self.stats.retired_rebuild);
-        put_u64_le(&mut payload, self.stats.retired_wholesale);
-        put_uvarint(&mut payload, self.live.len() as u64);
-        for (bucket, window) in &self.live {
-            put_u64_le(&mut payload, *bucket);
-            let blob = window.checkpoint();
-            put_uvarint(&mut payload, blob.len() as u64);
-            payload.extend_from_slice(&blob);
-        }
-        let blob = self.total.checkpoint();
-        put_uvarint(&mut payload, blob.len() as u64);
-        payload.extend_from_slice(&blob);
-
-        let mut out = Vec::with_capacity(payload.len() + 12);
-        out.push(SNAPSHOT_VERSION);
-        out.push(state_tag::WINDOW_RING);
-        put_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+            put_u64_le(out, self.stats.frames_ingested);
+            put_u64_le(out, self.stats.late_dropped);
+            put_u64_le(out, self.stats.retired_subtract);
+            put_u64_le(out, self.stats.retired_rebuild);
+            put_u64_le(out, self.stats.retired_wholesale);
+            put_uvarint(out, self.live.len() as u64);
+            for (bucket, window) in &self.live {
+                put_u64_le(out, *bucket);
+                let blob = window.checkpoint();
+                put_uvarint(out, blob.len() as u64);
+                out.extend_from_slice(&blob);
+            }
+            let blob = self.total.checkpoint();
+            put_uvarint(out, blob.len() as u64);
+            out.extend_from_slice(&blob);
+        });
         out
     }
 
@@ -489,28 +485,7 @@ impl WindowRing {
     /// mismatched descriptors, non-contiguous window buckets, or a total
     /// whose report count disagrees with the live windows.
     pub fn from_checkpoint(bytes: &[u8]) -> Result<Self> {
-        let mut r = WireReader::new(bytes);
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(LdpError::VersionMismatch {
-                got: version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let tag = r.u8()?;
-        if tag != state_tag::WINDOW_RING {
-            return Err(LdpError::ReportTypeMismatch {
-                got: tag,
-                expected: state_tag::WINDOW_RING,
-            });
-        }
-        let len = r.uvarint()?;
-        let len = usize::try_from(len)
-            .map_err(|_| LdpError::Malformed(format!("ring checkpoint length {len} overflows")))?;
-        let payload = r.bytes(len)?;
-        r.finish()?;
-
-        let mut pr = WireReader::new(payload);
+        let mut pr = WireReader::new(open_envelope(bytes, state_tag::WINDOW_RING)?);
         let window_len = pr.u64_le()?;
         let windows = usize::try_from(pr.uvarint()?)
             .map_err(|_| LdpError::Malformed("ring window count overflows".into()))?;
