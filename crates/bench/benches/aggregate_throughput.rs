@@ -457,10 +457,10 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     // --- Mechanism planner: full plan latency over the workspace
     // registry, and predicted-vs-measured error ranking agreement over
     // the shared frontier grid (`ldp_workloads::frontier`, also behind
-    // `ldp-sim --scenario plan`). Agreement below 1.0 is expected: two formulas are
-    // documented approximations (HR ignores multinomial row variation;
-    // OLH-C charges the worst-case collision mass), and the frontier
-    // harness exists to keep that gap measured rather than assumed.
+    // `ldp-sim --scenario plan`). Agreement below 1.0 is expected: OLH-C's
+    // formula is a documented approximation (it charges the worst-case
+    // collision mass), and the frontier harness exists to keep that gap
+    // measured rather than assumed.
     let planner = workspace_planner();
     let plan_spec = WorkloadSpec::new(d, n as u64, 1.0)
         .with_memory_budget(64 * 1024)

@@ -11,9 +11,9 @@
 //! *spectrum* of the frequency vector, then inverts with one fast
 //! Walsh–Hadamard transform. Because the transform is orthogonal, noise
 //! added uniformly in the spectrum comes back uniformly in the counts: the
-//! noise floor is `≈ 4e^ε/(e^ε−1)²·n` — OUE/OLH-grade accuracy from a
-//! `log m + 1`-bit report, the communication-optimal point the tutorial
-//! highlights in Apple's design.
+//! noise floor is `((e^ε+1)/(e^ε−1))²·n = (4e^ε/(e^ε−1)² + 1)·n` — one
+//! unit per report above OUE/OLH, from a `log m + 1`-bit report, the
+//! communication-optimal point the tutorial highlights in Apple's design.
 
 use super::counters::{self, CounterState};
 use super::{FoAggregator, FrequencyOracle};
@@ -143,11 +143,13 @@ impl FrequencyOracle for HadamardResponse {
         }
     }
 
-    fn count_variance(&self, n: usize, _f: f64) -> f64 {
-        // Spectrum-uniform noise: Var ≈ n (1/(2p−1)² − 1) = n·4e^ε/(e^ε−1)².
-        // (Approximate: ignores multinomial variation in per-row counts.)
+    fn count_variance(&self, n: usize, f: f64) -> f64 {
+        // The count estimate is Σ_i s_i·H[j_i, v]/(2p−1): every term
+        // squares to 1/(2p−1)², and only holders of `v` give it a nonzero
+        // mean (1), so Var = n·(1/(2p−1)² − f) = n·(4e^ε/(e^ε−1)² + 1 − f)
+        // exactly. The per-row report counts never enter the estimator.
         let e = self.epsilon.exp();
-        n as f64 * 4.0 * e / (e - 1.0).powi(2)
+        n as f64 * (4.0 * e / (e - 1.0).powi(2) + 1.0 - f)
     }
 
     fn report_bits(&self) -> usize {

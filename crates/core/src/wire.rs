@@ -722,26 +722,38 @@ pub trait WireMechanism: BatchMechanism {
         self.try_randomize_batch(inputs, rng, |r| encode_report(r, out))
     }
 
-    /// Server side: folds a concatenated frame stream into `agg`,
-    /// returning how many frames were folded in alongside the outcome.
-    /// The stream stops at the first bad frame; the count names the
-    /// frames **already folded in** (`agg` keeps them). Every frame is
-    /// validated before any counter moves, so a bad frame leaves no
-    /// trace of itself.
+    /// Server side: folds a concatenated frame stream into `agg`, and
+    /// into `mirror` when one is given, returning how many frames were
+    /// folded in alongside the outcome. Each frame is parsed, validated
+    /// and decoded **once**; the report then goes to every target, so a
+    /// caller keeping two aggregates of one stream (a window and its
+    /// running total) pays one decode per frame. The stream stops at the
+    /// first bad frame; the count names the frames **already folded
+    /// in** (every target keeps them). Every frame is validated before
+    /// any counter moves, so a bad frame leaves no trace of itself.
+    ///
+    /// `mirror` must be configured like `agg` (callers check that both
+    /// come from equal descriptors): then it cannot refuse a frame `agg`
+    /// accepted, and the two end in the same state.
     ///
     /// The default decodes every frame into one scratch report
     /// ([`WireReport::decode_payload_into`]: no per-frame allocation for
     /// fixed-width report types) and folds it through
-    /// [`FoAggregator::try_accumulate`]. [`FusedUnaryMechanism`]
-    /// overrides it to fold bit-vector payloads straight into the
-    /// counters, eight at a time. Overrides must leave the state the
-    /// default would.
+    /// [`FoAggregator::try_accumulate`] on each target.
+    /// [`FusedUnaryMechanism`] overrides it to fold bit-vector payloads
+    /// straight into the counters, eight at a time. Overrides must leave
+    /// the state the default would.
     ///
     /// # Errors
     /// Any [`LdpError`] for a malformed or truncated frame, a foreign
     /// version or tag, or a report that does not fit the mechanism's
     /// configuration — never a panic.
-    fn fold_frames(&self, agg: &mut Self::Aggregator, stream: &[u8]) -> (usize, Result<()>)
+    fn fold_frames(
+        &self,
+        agg: &mut Self::Aggregator,
+        mut mirror: Option<&mut Self::Aggregator>,
+        stream: &[u8],
+    ) -> (usize, Result<()>)
     where
         ReportOf<Self>: WireReport,
     {
@@ -759,7 +771,11 @@ pub trait WireMechanism: BatchMechanism {
                     None => scratch.insert(ReportOf::<Self>::decode_payload(&mut r)?),
                 };
                 r.finish()?;
-                agg.try_accumulate(report)
+                agg.try_accumulate(report)?;
+                match mirror.as_deref_mut() {
+                    Some(m) => m.try_accumulate(report),
+                    None => Ok(()),
+                }
             });
             if let Err(e) = folded {
                 return (n, Err(e));
@@ -932,31 +948,58 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
 
     /// The packed lane: each frame's payload bytes go straight to the
     /// counters ([`PackedOnes::accumulate_packed_batch`]), eight frames
-    /// per carry-save fold, with no scratch report in between.
-    fn fold_frames(&self, agg: &mut O::Aggregator, stream: &[u8]) -> (usize, Result<()>) {
+    /// per carry-save fold on each target, with no scratch report in
+    /// between.
+    fn fold_frames(
+        &self,
+        agg: &mut O::Aggregator,
+        mut mirror: Option<&mut O::Aggregator>,
+        stream: &[u8],
+    ) -> (usize, Result<()>) {
         let mut pos = 0usize;
         let mut n = 0usize;
-        let mut pending: Vec<(&[u8], usize)> = Vec::with_capacity(PACKED_BATCH);
+        let mut pending: [(&[u8], usize); PACKED_BATCH] = [(&[], 0); PACKED_BATCH];
+        let mut len = 0usize;
         while pos < stream.len() {
             match next_payload(stream, &mut pos, tag::BITS).and_then(packed_bits) {
-                Ok(payload) => pending.push(payload),
+                Ok(payload) => {
+                    pending[len] = payload;
+                    len += 1;
+                }
                 Err(e) => {
                     // The buffered frames precede the bad one.
-                    let (applied, res) = agg.accumulate_packed_batch(&pending);
+                    let (applied, res) = fold_packed(agg, mirror, &pending[..len]);
                     return (n + applied, res.and(Err(e)));
                 }
             }
-            if pending.len() == PACKED_BATCH {
-                let (applied, res) = agg.accumulate_packed_batch(&pending);
+            if len == PACKED_BATCH {
+                let (applied, res) = fold_packed(agg, mirror.as_deref_mut(), &pending);
                 n += applied;
                 if res.is_err() {
                     return (n, res);
                 }
-                pending.clear();
+                len = 0;
             }
         }
-        let (applied, res) = agg.accumulate_packed_batch(&pending);
+        let (applied, res) = fold_packed(agg, mirror, &pending[..len]);
         (n + applied, res)
+    }
+}
+
+/// Folds buffered packed payloads into `agg`, then the prefix `agg`
+/// took into `mirror`.
+fn fold_packed<A: PackedOnes>(
+    agg: &mut A,
+    mirror: Option<&mut A>,
+    payloads: &[(&[u8], usize)],
+) -> (usize, Result<()>) {
+    let (applied, res) = agg.accumulate_packed_batch(payloads);
+    match mirror {
+        Some(m) => {
+            let (_, mirrored) = m.accumulate_packed_batch(&payloads[..applied]);
+            (applied, mirrored.and(res))
+        }
+        None => (applied, res),
     }
 }
 
@@ -1105,20 +1148,25 @@ pub trait ErasedMechanism: Send + Sync {
     fn new_erased_aggregator(&self) -> Box<dyn ErasedAggregator>;
 
     /// Server side: folds a concatenated frame stream (one frame or
-    /// many) into `agg` through the mechanism's
-    /// [`WireMechanism::fold_frames`], returning how many frames were
-    /// ingested alongside the outcome. On error the returned count names
-    /// the frames **already folded in** (the stream stops at the first
-    /// bad frame; `agg` keeps them), so callers can account for partial
-    /// batches; the bad frame itself leaves `agg` untouched.
+    /// many) into `agg`, and into `mirror` when one is given, through
+    /// the mechanism's [`WireMechanism::fold_frames`]: each frame is
+    /// decoded once and lands in every target. Returns how many frames
+    /// were ingested alongside the outcome. On error the returned count
+    /// names the frames **already folded in** (the stream stops at the
+    /// first bad frame; every target keeps them), so callers can
+    /// account for partial batches; the bad frame itself leaves every
+    /// target untouched. `mirror` must be configured like `agg` (the
+    /// collector service checks that their descriptors are equal).
     ///
     /// # Errors
     /// Any [`LdpError`] for malformed/truncated frames, foreign versions
-    /// or tags, reports that don't fit the mechanism's shape, or an
-    /// `agg` that belongs to a different mechanism — never a panic.
+    /// or tags, reports that don't fit the mechanism's shape, or a
+    /// target that belongs to a different mechanism (refused with a
+    /// zero count before any counter moves) — never a panic.
     fn accumulate_concat(
         &self,
         agg: &mut dyn ErasedAggregator,
+        mirror: Option<&mut dyn ErasedAggregator>,
         stream: &[u8],
     ) -> (usize, Result<()>);
 }
@@ -1311,17 +1359,27 @@ where
     fn accumulate_concat(
         &self,
         agg: &mut dyn ErasedAggregator,
+        mirror: Option<&mut dyn ErasedAggregator>,
         stream: &[u8],
     ) -> (usize, Result<()>) {
-        match agg.as_any_mut().downcast_mut::<BridgedAggregator<M>>() {
-            Some(slot) => self.mech.fold_frames(&mut slot.agg, stream),
-            None => (
+        let mismatch = || {
+            (
                 0,
                 Err(LdpError::Malformed(
                     "accumulate: erased aggregator type mismatch".into(),
                 )),
-            ),
-        }
+            )
+        };
+        // Every target is downcast before any counter moves.
+        let Some(slot) = agg.as_any_mut().downcast_mut::<BridgedAggregator<M>>() else {
+            return mismatch();
+        };
+        let mirror = match mirror.map(|m| m.as_any_mut().downcast_mut::<BridgedAggregator<M>>()) {
+            None => None,
+            Some(Some(m)) => Some(&mut m.agg),
+            Some(None) => return mismatch(),
+        };
+        self.mech.fold_frames(&mut slot.agg, mirror, stream)
     }
 }
 
@@ -1520,7 +1578,7 @@ mod tests {
             .unwrap();
 
         let mut fast = bridge.new_erased_aggregator();
-        let (n, res) = bridge.accumulate_concat(fast.as_mut(), &stream);
+        let (n, res) = bridge.accumulate_concat(fast.as_mut(), None, &stream);
         res.unwrap();
         assert_eq!(n, 50);
 
@@ -1529,7 +1587,7 @@ mod tests {
         while pos < stream.len() {
             let start = pos;
             next_frame(&stream, &mut pos).unwrap();
-            let (n, res) = bridge.accumulate_concat(slow.as_mut(), &stream[start..pos]);
+            let (n, res) = bridge.accumulate_concat(slow.as_mut(), None, &stream[start..pos]);
             res.unwrap();
             assert_eq!(n, 1);
         }
@@ -1539,10 +1597,70 @@ mod tests {
         // Truncate mid-frame: the count names the frames already folded.
         let cut = &stream[..stream.len() - 1];
         let mut partial = bridge.new_erased_aggregator();
-        let (n, res) = bridge.accumulate_concat(partial.as_mut(), cut);
+        let (n, res) = bridge.accumulate_concat(partial.as_mut(), None, cut);
         assert!(res.is_err());
         assert_eq!(n, 49);
         assert_eq!(partial.reports(), 49);
+    }
+
+    /// A mirror takes exactly what the first target takes, prefix
+    /// included; a mirror of another aggregator type is refused before
+    /// either target moves.
+    #[test]
+    fn accumulate_concat_mirror_matches_and_refuses_foreign_type() {
+        use crate::fo::OptimizedUnaryEncoding;
+        let eps = Epsilon::new(1.0).unwrap();
+        let grr = ErasedBridge::new(
+            OracleMechanism(DirectEncoding::new(16, eps).unwrap()),
+            ProtocolDescriptor::builder(crate::protocol::MechanismKind::DirectEncoding)
+                .domain_size(16)
+                .epsilon(1.0)
+                .build()
+                .unwrap(),
+        );
+        let oue = ErasedBridge::new(
+            FusedUnaryMechanism(OptimizedUnaryEncoding::new(100, eps).unwrap()),
+            ProtocolDescriptor::builder(crate::protocol::MechanismKind::OptimizedUnary)
+                .domain_size(100)
+                .epsilon(1.0)
+                .build()
+                .unwrap(),
+        );
+        let values: Vec<u64> = (0..21).collect();
+        for bridge in [&grr as &dyn ErasedMechanism, &oue] {
+            let d = bridge.descriptor().domain_size();
+            let inputs: Vec<u64> = values.iter().map(|v| v % d).collect();
+            let mut stream = Vec::new();
+            bridge
+                .randomize_items_to_frames(&inputs, 9, &mut stream)
+                .unwrap();
+            let cut = &stream[..stream.len() - 1];
+            let mut agg = bridge.new_erased_aggregator();
+            let mut mirror = bridge.new_erased_aggregator();
+            let (n, res) = bridge.accumulate_concat(agg.as_mut(), Some(mirror.as_mut()), cut);
+            assert!(res.is_err());
+            assert_eq!(n, 20);
+            let mut alone = bridge.new_erased_aggregator();
+            assert_eq!(bridge.accumulate_concat(alone.as_mut(), None, cut).0, 20);
+            let blob = |a: &dyn ErasedAggregator| {
+                let mut out = Vec::new();
+                a.snapshot(&mut out);
+                out
+            };
+            assert_eq!(blob(agg.as_ref()), blob(alone.as_ref()));
+            assert_eq!(blob(mirror.as_ref()), blob(alone.as_ref()));
+        }
+
+        let mut stream = Vec::new();
+        grr.randomize_items_to_frames(&[1, 2, 3], 9, &mut stream)
+            .unwrap();
+        let mut agg = grr.new_erased_aggregator();
+        let mut foreign = oue.new_erased_aggregator();
+        let (n, res) = grr.accumulate_concat(agg.as_mut(), Some(foreign.as_mut()), &stream);
+        assert_eq!(n, 0);
+        assert!(matches!(res, Err(LdpError::Malformed(_))));
+        assert_eq!(agg.reports(), 0);
+        assert_eq!(foreign.reports(), 0);
     }
 
     #[test]
@@ -1559,7 +1677,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut frame = Vec::new();
         bridge.randomize_item(5, &mut rng, &mut frame).unwrap();
-        let (n, res) = bridge.accumulate_concat(agg.as_mut(), &frame);
+        let (n, res) = bridge.accumulate_concat(agg.as_mut(), None, &frame);
         res.unwrap();
         assert_eq!(n, 1);
         assert_eq!(agg.reports(), 1);

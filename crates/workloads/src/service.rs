@@ -331,15 +331,10 @@ impl CollectorService {
     /// current-version frame of this mechanism's report type; the
     /// aggregate state is unchanged on error.
     pub fn ingest(&mut self, frame: &[u8]) -> Result<()> {
-        let mut pos = 0usize;
-        next_frame(frame, &mut pos)?;
-        if pos != frame.len() {
-            return Err(LdpError::Malformed(format!(
-                "{} trailing bytes after frame",
-                frame.len() - pos
-            )));
-        }
-        self.mech.accumulate_concat(self.agg.as_mut(), frame).1
+        check_one_frame(frame)?;
+        self.mech
+            .accumulate_concat(self.agg.as_mut(), None, frame)
+            .1
     }
 
     /// Ingests a buffer of back-to-back frames (the batched transport
@@ -355,11 +350,40 @@ impl CollectorService {
     /// ingested** (exactly the reports the error-position prefix
     /// carried).
     pub fn ingest_concat(&mut self, stream: &[u8]) -> std::result::Result<usize, IngestError> {
-        let (ingested, res) = self.mech.accumulate_concat(self.agg.as_mut(), stream);
-        match res {
-            Ok(()) => Ok(ingested),
-            Err(source) => Err(IngestError { ingested, source }),
+        let (ingested, res) = self.mech.accumulate_concat(self.agg.as_mut(), None, stream);
+        into_ingest_result(ingested, res)
+    }
+
+    /// [`ingest_concat`](Self::ingest_concat) into this service **and**
+    /// `mirror` at once: each frame is decoded once and folds into both
+    /// aggregates (a window and its running total, say), so the two
+    /// stay in step without a second pass over the stream.
+    ///
+    /// # Errors
+    /// An [`IngestError`] with `ingested: 0` wrapping
+    /// [`LdpError::Malformed`] when the two services were built from
+    /// different descriptors, before anything moves. Otherwise as
+    /// [`ingest_concat`](Self::ingest_concat): the frames before the bad
+    /// one remain ingested in both services, and the bad one in neither.
+    pub fn ingest_concat_mirrored(
+        &mut self,
+        mirror: &mut CollectorService,
+        stream: &[u8],
+    ) -> std::result::Result<usize, IngestError> {
+        if self.descriptor() != mirror.descriptor() {
+            return Err(IngestError {
+                ingested: 0,
+                source: LdpError::Malformed(format!(
+                    "mirrored ingest: descriptor mismatch ({} vs {})",
+                    self.descriptor().kind().name(),
+                    mirror.descriptor().kind().name()
+                )),
+            });
         }
+        let (ingested, res) =
+            self.mech
+                .accumulate_concat(self.agg.as_mut(), Some(mirror.agg.as_mut()), stream);
+        into_ingest_result(ingested, res)
     }
 
     /// Merges another service's aggregate into this one, as if every
@@ -499,6 +523,28 @@ impl CollectorService {
         let mut service = Self::with_registry(registry, &desc)?;
         service.agg.restore(blob)?;
         Ok(service)
+    }
+}
+
+/// Checks that `frame` is exactly one well-formed frame: trailing bytes
+/// are [`LdpError::Malformed`].
+pub(crate) fn check_one_frame(frame: &[u8]) -> Result<()> {
+    let mut pos = 0usize;
+    next_frame(frame, &mut pos)?;
+    if pos != frame.len() {
+        return Err(LdpError::Malformed(format!(
+            "{} trailing bytes after frame",
+            frame.len() - pos
+        )));
+    }
+    Ok(())
+}
+
+/// A stream fold's `(count, outcome)` as an ingest result.
+fn into_ingest_result(ingested: usize, res: Result<()>) -> std::result::Result<usize, IngestError> {
+    match res {
+        Ok(()) => Ok(ingested),
+        Err(source) => Err(IngestError { ingested, source }),
     }
 }
 
@@ -791,6 +837,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A mirror built from a different descriptor is refused before
+    /// either service moves, even when the two share an aggregator type.
+    #[test]
+    fn mirrored_ingest_refuses_a_foreign_descriptor_before_anything_moves() {
+        let desc = olhc_descriptor(32);
+        let client = WireClient::from_descriptor(&desc).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut wire = Vec::new();
+        for v in 0..10u64 {
+            client.randomize_item(v, &mut rng, &mut wire).unwrap();
+        }
+        let mut service = CollectorService::from_descriptor(&desc).unwrap();
+        let mut foreign = CollectorService::from_descriptor(&olhc_descriptor(64)).unwrap();
+        let err = service
+            .ingest_concat_mirrored(&mut foreign, &wire)
+            .unwrap_err();
+        assert_eq!(err.ingested, 0);
+        assert!(matches!(err.source, LdpError::Malformed(_)));
+        assert_eq!(service.reports(), 0);
+        assert_eq!(foreign.reports(), 0);
+
+        // An equal descriptor takes every frame into both.
+        let mut mirror = CollectorService::from_descriptor(&desc).unwrap();
+        assert_eq!(
+            service.ingest_concat_mirrored(&mut mirror, &wire).unwrap(),
+            10
+        );
+        let mut alone = CollectorService::from_descriptor(&desc).unwrap();
+        alone.ingest_concat(&wire).unwrap();
+        assert_eq!(service.checkpoint(), alone.checkpoint());
+        assert_eq!(mirror.checkpoint(), alone.checkpoint());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   them into a window. Each window's delta stays sketch-sized — per
 //!   PAPERS.md's itemset lower bounds, raw report retention is exactly
 //!   what this layer avoids.
-//! * **A maintained running total.** Every frame folds into both its
-//!   window's delta and the total, so the current sliding-window
-//!   estimate is a read of one aggregator, not a merge of `W`.
+//! * **A maintained running total.** Every frame is decoded once and
+//!   folds into its window's delta and the total in the same pass, so
+//!   the current sliding-window estimate is a read of one aggregator,
+//!   not a merge of `W`.
 //! * **Retirement by subtraction.** When the ring advances past its
 //!   horizon, the expired window's delta is removed from the total with
 //!   [`CollectorService::subtract`] — the exact inverse of `merge`, so
@@ -82,7 +83,7 @@ use ldp_core::snapshot::{open_envelope, put_envelope, state_tag};
 use ldp_core::wire::{put_f64_le, put_u64_le, put_uvarint, WireReader};
 use ldp_core::{Epsilon, LdpError, PrivacyBudget, Result};
 
-use crate::service::{CollectorService, IngestError};
+use crate::service::{check_one_frame, CollectorService, IngestError};
 
 /// Configuration of a [`WindowRing`]: event-time bucketing, horizon, and
 /// optional decay.
@@ -146,8 +147,9 @@ impl WindowConfig {
 /// versus the `O(W × state)` rebuild fallback).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
-    /// Report frames folded into the ring (into a window delta *and* the
-    /// running total).
+    /// Report frames folded into the ring: each lands in its window
+    /// delta and in the running total together, so one count covers
+    /// both (absorbed deltas add their reports).
     pub frames_ingested: u64,
     /// Frames (or absorbed delta reports) dropped because their event
     /// time predates the ring's watermark (the oldest live window).
@@ -259,12 +261,13 @@ impl WindowRing {
     ///
     /// Ingesting may advance the ring: a frame from a new bucket opens
     /// that window (plus empty windows for any skipped buckets) and
-    /// retires whatever falls off the horizon.
+    /// retires whatever falls off the horizon. The frame is decoded once
+    /// and folds into its window and the running total together.
     ///
     /// # Errors
-    /// Frame validation errors from [`CollectorService::ingest`]; the
-    /// retirement errors described on [`advance_to`](Self::advance_to).
-    /// The ring state is unchanged on a frame error.
+    /// The frame validation errors [`CollectorService::ingest`] raises;
+    /// the retirement errors described on [`advance_to`](Self::advance_to).
+    /// Neither the window nor the total takes a frame that errors.
     pub fn ingest(&mut self, timestamp: u64, frame: &[u8]) -> Result<bool> {
         let bucket = self.bucket_of(timestamp);
         if self.is_late(bucket) {
@@ -272,11 +275,11 @@ impl WindowRing {
             return Ok(false);
         }
         self.advance_to_bucket(bucket)?;
+        check_one_frame(frame)?;
         let idx = self.live_index(bucket);
-        self.live[idx].1.ingest(frame)?;
-        // Same frame, same stateless validation — cannot fail after the
-        // window accepted it, so window and total never diverge.
-        self.total.ingest(frame)?;
+        self.live[idx]
+            .1
+            .ingest_concat_mirrored(&mut self.total, frame)?;
         self.stats.frames_ingested += 1;
         Ok(true)
     }
@@ -287,11 +290,15 @@ impl WindowRing {
     /// buffers are dropped whole (counted per frame) and return
     /// `Ok(0)`.
     ///
+    /// Each frame is decoded once and folds into its window and the
+    /// running total together
+    /// ([`CollectorService::ingest_concat_mirrored`]).
+    ///
     /// # Errors
     /// Stops at the first bad frame like
     /// [`CollectorService::ingest_concat`]; the frames before it remain
-    /// ingested in both the window and the total (validation is
-    /// deterministic, so both stop at the same frame).
+    /// ingested in both the window and the total, and the bad frame is
+    /// in neither.
     pub fn ingest_concat(
         &mut self,
         timestamp: u64,
@@ -309,23 +316,14 @@ impl WindowRing {
                 source,
             })?;
         let idx = self.live_index(bucket);
-        let window_res = self.live[idx].1.ingest_concat(stream);
-        // The total must ingest the same stream even when the window
-        // stopped at a bad frame: validation is deterministic, so both
-        // accept the same prefix, and skipping the total's pass would
-        // leave it missing frames the window kept — breaking the
-        // total == merge(live windows) invariant.
-        let total_res = self.total.ingest_concat(stream);
-        let window_n = match &window_res {
+        let res = self.live[idx]
+            .1
+            .ingest_concat_mirrored(&mut self.total, stream);
+        self.stats.frames_ingested += match &res {
             Ok(n) => *n,
             Err(e) => e.ingested,
-        };
-        let total_n = match &total_res {
-            Ok(n) => *n,
-            Err(e) => e.ingested,
-        };
-        self.stats.frames_ingested += window_n.min(total_n) as u64;
-        window_res.and(total_res)
+        } as u64;
+        res
     }
 
     /// Absorbs a pre-aggregated window delta — the integration point for
@@ -1008,6 +1006,109 @@ mod tests {
         assert_eq!(ring.reports(), 5);
         let revived = WindowRing::from_checkpoint(&ring.checkpoint()).unwrap();
         assert_eq!(revived.reports(), 5);
+    }
+
+    /// The merge of the ring's live windows, as a checkpoint.
+    fn merged_windows(ring: &WindowRing) -> Vec<u8> {
+        let mut merged = CollectorService::from_descriptor(ring.descriptor()).unwrap();
+        for (_, w) in ring.windows() {
+            merged
+                .merge(CollectorService::from_checkpoint(&w.checkpoint()).unwrap())
+                .unwrap();
+        }
+        merged.checkpoint()
+    }
+
+    /// A bad frame at any position of a stream leaves exactly the frames
+    /// before it in the window and in the total, for the default fold
+    /// (OLH-C) and the unary packed lane (OUE at d = 100: a partial last
+    /// byte and a partial last word, and groups of eight cut anywhere).
+    #[test]
+    fn ring_partial_batches_keep_window_and_total_in_step() {
+        use ldp_core::wire::{encode_report_vec, next_frame, tag, CohortLhReport};
+        let olhc = olhc_descriptor(64);
+        let oue = ProtocolDescriptor::builder(MechanismKind::OptimizedUnary)
+            .domain_size(100)
+            .epsilon(1.0)
+            .build()
+            .unwrap();
+        // Out-of-range reports: a cohort past the descriptor's 32, and a
+        // bit vector one bit too wide.
+        let cohort_out = encode_report_vec(&CohortLhReport {
+            cohort: 32,
+            bucket: 0,
+        });
+        let wide_desc = ProtocolDescriptor::builder(MechanismKind::OptimizedUnary)
+            .domain_size(101)
+            .epsilon(1.0)
+            .build()
+            .unwrap();
+        let mut too_wide = Vec::new();
+        WireClient::from_descriptor(&wide_desc)
+            .unwrap()
+            .randomize_item(3, &mut StdRng::seed_from_u64(1), &mut too_wide)
+            .unwrap();
+        let cases = [
+            (olhc, cohort_out, &["tag", "truncated", "range"][..]),
+            (oue, too_wide, &["tag", "truncated", "range", "padding"][..]),
+        ];
+        for (desc, out_of_range, corruptions) in cases {
+            let kind = desc.kind();
+            let client = WireClient::from_descriptor(&desc).unwrap();
+            let d = desc.domain_size();
+            let values: Vec<u64> = (0..20).map(|i| (i * 7) % d).collect();
+            let mut stream = Vec::new();
+            client.frames_for_shard(&values, 5, 0, &mut stream).unwrap();
+            let mut frames = Vec::new();
+            let mut pos = 0usize;
+            while pos < stream.len() {
+                let start = pos;
+                next_frame(&stream, &mut pos).unwrap();
+                frames.push(&stream[start..pos]);
+            }
+            assert_eq!(frames.len(), 20);
+            let mut warm = Vec::new();
+            client.frames_for_shard(&values, 6, 0, &mut warm).unwrap();
+            for &name in corruptions {
+                for k in 0..frames.len() {
+                    let mut frame = frames[k].to_vec();
+                    match name {
+                        "tag" => frame[1] = tag::ITEM_SET,
+                        "truncated" => {
+                            frame.pop();
+                        }
+                        "range" => frame.clone_from(&out_of_range),
+                        _ => *frame.last_mut().unwrap() |= 0x80,
+                    }
+                    let mut bad = frames[..k].concat();
+                    bad.extend_from_slice(&frame);
+                    if name != "truncated" {
+                        bad.extend_from_slice(&frames[k + 1..].concat());
+                    }
+                    let ctx = format!("{kind:?} {name} at {k}");
+
+                    // An earlier window already holds 20 reports.
+                    let mut ring = WindowRing::new(&desc, WindowConfig::new(10, 3)).unwrap();
+                    assert_eq!(ring.ingest_concat(5, &warm).unwrap(), 20);
+                    let before = ring.stats().frames_ingested;
+                    let err = ring.ingest_concat(15, &bad).unwrap_err();
+                    assert_eq!(err.ingested, k, "{ctx}");
+                    assert_eq!(ring.stats().frames_ingested - before, k as u64, "{ctx}");
+
+                    let mut alone = CollectorService::from_descriptor(&desc).unwrap();
+                    assert_eq!(alone.ingest_concat(&frames[..k].concat()).unwrap(), k);
+                    let (bucket, window) = ring.windows().last().unwrap();
+                    assert_eq!(bucket, 1, "{ctx}");
+                    assert_eq!(window.checkpoint(), alone.checkpoint(), "{ctx}");
+                    assert_eq!(ring.total().checkpoint(), merged_windows(&ring), "{ctx}");
+
+                    // The same bad frame alone moves neither aggregate.
+                    let snapshot = ring.checkpoint();
+                    assert!(ring.ingest(15, &frame).is_err(), "{ctx}");
+                    assert_eq!(ring.checkpoint(), snapshot, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

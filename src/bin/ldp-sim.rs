@@ -31,12 +31,16 @@
 //!
 //! `--scenario windows` replays a bursty three-day synthetic trace
 //! (hourly event-time buckets, evening peaks, overnight lulls, stale
-//! stragglers) through the collector pipeline into a sliding
-//! [`WindowRing`] with a 24-hour horizon: each hour's delta is absorbed
-//! into its window and the running total, expired windows retire by
-//! exact subtraction, per-device ε spend is metered by a rolling
-//! [`LongitudinalAccountant`], and the whole ring checkpoint/restores
-//! at the end. `--users` sets total trace frames (default 500k).
+//! stragglers) into a sliding [`WindowRing`] with a 24-hour horizon:
+//! most hours run one collector-pipeline round whose delta is absorbed
+//! into its window and the running total, while evening-peak hours hand
+//! the ring their client frames as one batched payload
+//! (`ingest_concat`). Expired windows retire by exact subtraction,
+//! per-device ε spend is metered by a rolling
+//! [`LongitudinalAccountant`], each day ends by checking the frame
+//! count and that the total equals the merge of the live windows, and
+//! the whole ring checkpoint/restores at the end. `--users` sets total
+//! trace frames (default 500k).
 
 use ldp::core::fo::{
     collect_counts, BinaryLocalHashing, DirectEncoding, FrequencyOracle, HadamardResponse,
@@ -50,7 +54,7 @@ use ldp::workloads::metrics;
 use ldp::workloads::pipeline::{
     stream_population, BackpressurePolicy, CollectorPipeline, PipelineConfig,
 };
-use ldp::workloads::service::WireClient;
+use ldp::workloads::service::{CollectorService, WireClient};
 use ldp::workloads::window::{LongitudinalAccountant, WindowConfig, WindowRing};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -306,8 +310,9 @@ fn run_plan(args: &Args) -> Result<(), String> {
 }
 
 /// The `--scenario windows` path: a bursty multi-day trace through the
-/// collector pipeline into a 24-hour sliding window ring, with rolling
-/// per-device longitudinal accounting and a final checkpoint/restore.
+/// collector pipeline and batched frame payloads into a 24-hour sliding
+/// window ring, with rolling per-device longitudinal accounting, daily
+/// consistency checks and a final checkpoint/restore.
 fn run_windows(args: &Args) -> Result<(), String> {
     const DAYS: usize = 3;
     const HOURS: usize = DAYS * 24;
@@ -357,6 +362,10 @@ fn run_windows(args: &Args) -> Result<(), String> {
     let mut hour_truth: std::collections::VecDeque<Vec<f64>> = std::collections::VecDeque::new();
     let mut throttled = 0usize;
     let mut next_device = 0usize;
+    // Frames handed to the ring: pipeline deltas' reports, batched
+    // payloads and stragglers.
+    let mut handed_in = 0u64;
+    let mut frames = Vec::new();
 
     println!(
         "windows | OLH-C | ε={} | d={} | {DAYS} days × hourly buckets | horizon {HORIZON} h | \
@@ -386,9 +395,27 @@ fn run_windows(args: &Args) -> Result<(), String> {
             hour_truth.pop_front();
         }
 
+        handed_in += values.len() as u64;
         if values.is_empty() {
             // Budgets ran dry this hour: the watermark still advances.
             ring.advance_to(t).map_err(|e| format!("advance: {e}"))?;
+        } else if (18..=21).contains(&(hour % 24)) {
+            // Evening-peak hours arrive as one batched client payload
+            // that the ring folds frame by frame into the hour's window
+            // and the running total.
+            frames.clear();
+            client
+                .frames_for_shard(&values, args.seed ^ hour as u64, 0, &mut frames)
+                .map_err(|e| format!("frames: {e}"))?;
+            let folded = ring
+                .ingest_concat(t, &frames)
+                .map_err(|e| format!("ingest: {e}"))?;
+            if folded != values.len() {
+                return Err(format!(
+                    "hour {hour}: ring folded {folded} of {} frames",
+                    values.len()
+                ));
+            }
         } else {
             // One pipeline round per collection hour, absorbed as a delta.
             let shards = args.shards.min(values.len()).max(1);
@@ -411,6 +438,7 @@ fn run_windows(args: &Args) -> Result<(), String> {
         // A stale straggler from >24 h ago arrives once a day and must
         // drop against the watermark, not poison an expired window.
         if hour % 24 == 23 && hour >= 24 {
+            handed_in += 1;
             let mut frame = Vec::new();
             client
                 .randomize_item(0, &mut rng, &mut frame)
@@ -425,6 +453,30 @@ fn run_windows(args: &Args) -> Result<(), String> {
         }
         if hour % 24 == 23 {
             let s = ring.stats();
+            // Every frame handed in is in the ring or was dropped late,
+            // and the running total is exactly the merge of the live
+            // windows.
+            if s.frames_ingested != handed_in - s.late_dropped {
+                return Err(format!(
+                    "day {}: ring counts {} frames, {handed_in} handed in and {} late",
+                    hour / 24 + 1,
+                    s.frames_ingested,
+                    s.late_dropped
+                ));
+            }
+            let mut merged =
+                CollectorService::from_descriptor(&desc).map_err(|e| format!("merge: {e}"))?;
+            for (_, window) in ring.windows() {
+                let copy = CollectorService::from_checkpoint(&window.checkpoint())
+                    .map_err(|e| format!("merge: {e}"))?;
+                merged.merge(copy).map_err(|e| format!("merge: {e}"))?;
+            }
+            if merged.checkpoint() != ring.total().checkpoint() {
+                return Err(format!(
+                    "day {}: running total differs from the merge of the live windows",
+                    hour / 24 + 1
+                ));
+            }
             println!(
                 "  day {} done: {} live windows | {} frames in ring | \
                  retired {} by subtract, {} rebuilt | {} late dropped | {throttled} throttled",

@@ -160,3 +160,67 @@ fn report_size_ladder_is_as_documented() {
     assert!(olh <= 66);
     assert_eq!(hr, 21);
 }
+
+/// Two-sided 99.9% band for `χ²(k)/k` (Wilson–Hilferty approximation).
+fn chi_square_band(k: f64) -> (f64, f64) {
+    let z = 3.29;
+    let a = 2.0 / (9.0 * k);
+    let q = |z: f64| (1.0 - a + z * a.sqrt()).powi(3);
+    (q(-z), q(z))
+}
+
+/// HR's delivered count variance, measured over the byte path (client
+/// frames → collector service), matches `count_variance` for an item no
+/// one holds (f = 0) and one a tenth of users hold (f = 0.1), at a low
+/// and a high ε. The squared errors are taken around the exact count,
+/// so `trials · s²/σ²` is `χ²(trials)`.
+#[test]
+fn hr_delivered_variance_matches_count_variance() {
+    use ldp::core::protocol::{MechanismKind, ProtocolDescriptor};
+    use ldp::workloads::service::{CollectorService, WireClient};
+    const USERS: usize = 2_000;
+    const TRIALS: u64 = 300;
+    const DOMAIN: u64 = 64;
+    // A tenth of users hold item 0, none hold item 1, the rest spread
+    // over items 2..64.
+    let values: Vec<u64> = (0..USERS as u64)
+        .map(|u| if u % 10 == 0 { 0 } else { 2 + u % (DOMAIN - 2) })
+        .collect();
+    let truth = exact_counts(&values, DOMAIN);
+    assert_eq!(truth[0], USERS as f64 / 10.0);
+    assert_eq!(truth[1], 0.0);
+    let (lo, hi) = chi_square_band(TRIALS as f64);
+    for eps in [1.0, 4.0] {
+        let desc = ProtocolDescriptor::builder(MechanismKind::HadamardResponse)
+            .domain_size(DOMAIN)
+            .epsilon(eps)
+            .build()
+            .expect("descriptor");
+        let client = WireClient::from_descriptor(&desc).expect("client");
+        let mut sq = [0.0f64; 2];
+        let mut frames = Vec::new();
+        for t in 0..TRIALS {
+            frames.clear();
+            client
+                .frames_for_shard(&values, 500 + t, 0, &mut frames)
+                .expect("frames");
+            let mut service = CollectorService::from_descriptor(&desc).expect("service");
+            service.ingest_concat(&frames).expect("ingest");
+            let est = service.estimate_items(&[0, 1]).expect("items");
+            for (s, (e, v)) in sq.iter_mut().zip(est.iter().zip(&truth)) {
+                *s += (e - v).powi(2);
+            }
+        }
+        let hr = HadamardResponse::new(DOMAIN, Epsilon::new(eps).expect("eps"));
+        for (item, f) in [(0, 0.1), (1, 0.0)] {
+            let var = sq[item] / TRIALS as f64;
+            let predicted = hr.count_variance(USERS, f);
+            let ratio = var / predicted;
+            assert!(
+                (lo..=hi).contains(&ratio),
+                "ε={eps} f={f}: delivered {var:.0}, predicted {predicted:.0} \
+                 (ratio {ratio:.3} outside [{lo:.3}, {hi:.3}])"
+            );
+        }
+    }
+}
