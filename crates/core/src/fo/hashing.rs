@@ -711,6 +711,12 @@ impl CohortLhAggregator {
         support
     }
 
+    /// Counts one report its caller has range-checked.
+    fn count(&mut self, report: &CohortLhReport) {
+        self.counts[report.cohort as usize * self.g as usize + report.bucket as usize] += 1;
+        self.n += 1;
+    }
+
     /// Debiases raw support counts into unbiased count estimates.
     fn debias(&self, support: Vec<u64>) -> Vec<f64> {
         let n = self.n as f64;
@@ -747,7 +753,7 @@ impl FoAggregator for CohortLhAggregator {
                 report.cohort, report.bucket, self.cohorts, self.g
             )));
         }
-        self.accumulate(report);
+        self.count(report);
         Ok(())
     }
 
@@ -760,8 +766,7 @@ impl FoAggregator for CohortLhAggregator {
             self.cohorts,
             self.g
         );
-        self.counts[report.cohort as usize * self.g as usize + report.bucket as usize] += 1;
-        self.n += 1;
+        self.count(report);
     }
 
     fn reports(&self) -> usize {

@@ -230,11 +230,31 @@ pub struct Frame<'a> {
 /// version byte and the declared payload length, and advances `*pos`
 /// past the frame.
 ///
+/// A frame whose payload is under 128 bytes has a one-byte length, so
+/// its three header bytes are read straight off the slice. Every other
+/// header (a longer length, or one that fails a check) goes through a
+/// [`WireReader`], which names the error; both reads return the same
+/// result and leave `*pos` in the same place.
+///
 /// # Errors
 /// [`LdpError::VersionMismatch`] for a foreign version byte,
 /// [`LdpError::Truncated`] / [`LdpError::Malformed`] for a frame that
 /// ends early or declares an impossible length.
 pub fn next_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Frame<'a>> {
+    if let [WIRE_VERSION, tag, len @ 0..=0x7f, tail @ ..] = &buf[*pos..] {
+        if let Some(payload) = tail.get(..usize::from(*len)) {
+            *pos += 3 + payload.len();
+            return Ok(Frame { tag: *tag, payload });
+        }
+    }
+    next_frame_via_reader(buf, pos)
+}
+
+/// [`next_frame`] through a [`WireReader`]: multi-byte lengths and
+/// every header error. Kept out of line so that the one-byte-length
+/// path stays small enough to inline into the stream folds.
+#[inline(never)]
+fn next_frame_via_reader<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Frame<'a>> {
     let mut r = WireReader::new(&buf[*pos..]);
     let version = r.u8()?;
     if version != WIRE_VERSION {
@@ -565,6 +585,17 @@ impl WireReport for CohortLhReport {
     }
 
     fn decode_payload(r: &mut WireReader<'_>) -> Result<Self> {
+        // A cohort and a bucket under 128 are one varint byte each (every
+        // report of a descriptor with at most 128 cohorts and buckets), so
+        // they are read straight off the slice; the varint reads below
+        // give the same result for them.
+        if let [cohort @ 0..=0x7f, bucket @ 0..=0x7f, ..] = r.buf[r.pos..] {
+            r.pos += 2;
+            return Ok(Self {
+                cohort: u32::from(cohort),
+                bucket: u32::from(bucket),
+            });
+        }
         let cohort = r.uvarint()?;
         let bucket = r.uvarint()?;
         let cohort = u32::try_from(cohort)
@@ -1560,47 +1591,59 @@ mod tests {
 
     /// `accumulate_concat` over the whole stream folds the same state as
     /// one call per frame, and reports the partial count on a
-    /// mid-stream error.
+    /// mid-stream error — for OLH-C and GRR (one-byte frame lengths) and
+    /// OUE at d = 4096 (a two-byte length, through the packed lane).
     #[test]
     fn accumulate_concat_matches_frame_loop_and_counts_partials() {
-        let oracle = DirectEncoding::new(16, Epsilon::new(1.0).unwrap()).unwrap();
-        let desc = ProtocolDescriptor::builder(crate::protocol::MechanismKind::DirectEncoding)
-            .domain_size(16)
-            .epsilon(1.0)
-            .build()
-            .unwrap();
-        let bridge = ErasedBridge::new(OracleMechanism(oracle), desc);
+        use crate::protocol::{MechanismKind, Registry};
+        let descriptors = [
+            ProtocolDescriptor::builder(MechanismKind::CohortLocalHashing)
+                .domain_size(1024)
+                .epsilon(2.0)
+                .cohorts(64),
+            ProtocolDescriptor::builder(MechanismKind::DirectEncoding)
+                .domain_size(16)
+                .epsilon(1.0),
+            ProtocolDescriptor::builder(MechanismKind::OptimizedUnary)
+                .domain_size(4096)
+                .epsilon(1.0),
+        ];
+        for desc in descriptors {
+            let bridge = Registry::core().build(&desc.build().unwrap()).unwrap();
+            let d = bridge.descriptor().domain_size();
+            let kind = bridge.descriptor().kind();
 
-        let values: Vec<u64> = (0..50).map(|i| i % 16).collect();
-        let mut stream = Vec::new();
-        bridge
-            .randomize_items_to_frames(&values, 7, &mut stream)
-            .unwrap();
+            let values: Vec<u64> = (0..50).map(|i| (i * 7) % d).collect();
+            let mut stream = Vec::new();
+            bridge
+                .randomize_items_to_frames(&values, 7, &mut stream)
+                .unwrap();
 
-        let mut fast = bridge.new_erased_aggregator();
-        let (n, res) = bridge.accumulate_concat(fast.as_mut(), None, &stream);
-        res.unwrap();
-        assert_eq!(n, 50);
-
-        let mut slow = bridge.new_erased_aggregator();
-        let mut pos = 0usize;
-        while pos < stream.len() {
-            let start = pos;
-            next_frame(&stream, &mut pos).unwrap();
-            let (n, res) = bridge.accumulate_concat(slow.as_mut(), None, &stream[start..pos]);
+            let mut fast = bridge.new_erased_aggregator();
+            let (n, res) = bridge.accumulate_concat(fast.as_mut(), None, &stream);
             res.unwrap();
-            assert_eq!(n, 1);
-        }
-        assert_eq!(fast.estimate(), slow.estimate());
-        assert_eq!(fast.reports(), slow.reports());
+            assert_eq!(n, 50, "{kind:?}");
 
-        // Truncate mid-frame: the count names the frames already folded.
-        let cut = &stream[..stream.len() - 1];
-        let mut partial = bridge.new_erased_aggregator();
-        let (n, res) = bridge.accumulate_concat(partial.as_mut(), None, cut);
-        assert!(res.is_err());
-        assert_eq!(n, 49);
-        assert_eq!(partial.reports(), 49);
+            let mut slow = bridge.new_erased_aggregator();
+            let mut pos = 0usize;
+            while pos < stream.len() {
+                let start = pos;
+                next_frame(&stream, &mut pos).unwrap();
+                let (n, res) = bridge.accumulate_concat(slow.as_mut(), None, &stream[start..pos]);
+                res.unwrap();
+                assert_eq!(n, 1, "{kind:?}");
+            }
+            assert_eq!(fast.estimate(), slow.estimate(), "{kind:?}");
+            assert_eq!(fast.reports(), slow.reports(), "{kind:?}");
+
+            // Truncate mid-frame: the count names the frames already folded.
+            let cut = &stream[..stream.len() - 1];
+            let mut partial = bridge.new_erased_aggregator();
+            let (n, res) = bridge.accumulate_concat(partial.as_mut(), None, cut);
+            assert!(res.is_err(), "{kind:?}");
+            assert_eq!(n, 49, "{kind:?}");
+            assert_eq!(partial.reports(), 49, "{kind:?}");
+        }
     }
 
     /// A mirror takes exactly what the first target takes, prefix

@@ -2,12 +2,15 @@
 //! `decode_report(encode_report(r)) == r` (identity round trip) for
 //! arbitrary representable reports, and decoding never panics on
 //! corrupted, truncated, or wrong-version bytes — it returns
-//! `LdpError`.
+//! `LdpError`. `next_frame` splits frames, and `CohortLhReport` decodes
+//! its payload, exactly as plain `WireReader` reads do, on any bytes.
 
+use ldp_core::protocol::{MechanismKind, ProtocolDescriptor, Registry};
 use ldp_core::wire::{
-    decode_report, encode_report_vec, next_frame, tag, CohortLhReport, HrReport, WIRE_VERSION,
+    decode_report, encode_report_vec, next_frame, tag, CohortLhReport, Frame, HrReport, WireReader,
+    WireReport, WIRE_VERSION,
 };
-use ldp_core::LdpError;
+use ldp_core::{LdpError, Result};
 use ldp_sketch::BitVec;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -57,8 +60,102 @@ where
     ));
 }
 
+/// The frame header read as three `WireReader` reads, with no shortcut
+/// for one-byte lengths: the reference `next_frame` must agree with.
+fn reference_next_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Frame<'a>> {
+    let mut r = WireReader::new(&buf[*pos..]);
+    let version = r.u8()?;
+    if version != WIRE_VERSION {
+        return Err(LdpError::VersionMismatch {
+            got: version,
+            expected: WIRE_VERSION,
+        });
+    }
+    let tag = r.u8()?;
+    let len = r.uvarint()?;
+    let len = usize::try_from(len)
+        .map_err(|_| LdpError::Malformed(format!("payload length {len} overflows usize")))?;
+    let payload = r.bytes(len)?;
+    *pos = buf.len() - r.remaining();
+    Ok(Frame { tag, payload })
+}
+
+/// The OLH-C payload read as two `WireReader` varints, with no shortcut
+/// for one-byte fields: the reference `CohortLhReport::decode_payload`
+/// must agree with. Returns the result and the bytes left unread.
+fn reference_cohort_decode(payload: &[u8]) -> (Result<CohortLhReport>, usize) {
+    let mut r = WireReader::new(payload);
+    let mut read = || {
+        let cohort = r.uvarint()?;
+        let bucket = r.uvarint()?;
+        let cohort = u32::try_from(cohort)
+            .map_err(|_| LdpError::Malformed(format!("cohort {cohort} overflows u32")))?;
+        let bucket = u32::try_from(bucket)
+            .map_err(|_| LdpError::Malformed(format!("bucket {bucket} overflows u32")))?;
+        Ok(CohortLhReport { cohort, bucket })
+    };
+    let res = read();
+    (res, r.remaining())
+}
+
+/// Splits frames off `buf` from `start` with `next_frame` and with the
+/// reference until the first error or the end of the buffer, asserting
+/// equal results (the payload as the same sub-slice) and equal `pos`
+/// after every call. Returns the number of frames split.
+fn assert_splits_like_reference(buf: &[u8], start: usize) -> usize {
+    let (mut pos, mut reference_pos) = (start, start);
+    let mut frames = 0;
+    loop {
+        let got = next_frame(buf, &mut pos).map(|f| (f.tag, f.payload.as_ptr(), f.payload.len()));
+        let want = reference_next_frame(buf, &mut reference_pos)
+            .map(|f| (f.tag, f.payload.as_ptr(), f.payload.len()));
+        assert_eq!(got, want, "frame {frames} from {start} in {buf:?}");
+        assert_eq!(pos, reference_pos, "frame {frames} from {start} in {buf:?}");
+        if got.is_err() {
+            return frames;
+        }
+        frames += 1;
+        if pos == buf.len() {
+            return frames;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn cohort_decode_matches_reference_on_arbitrary_payloads(
+        bytes in vec(any::<u8>(), 0..24),
+        one_byte_fields in any::<bool>(),
+    ) {
+        let mut bytes = bytes;
+        if one_byte_fields {
+            for b in bytes.iter_mut().take(2) {
+                *b &= 0x7f;
+            }
+        }
+        for cut in 0..=bytes.len() {
+            let payload = &bytes[..cut];
+            let mut r = WireReader::new(payload);
+            let got = CohortLhReport::decode_payload(&mut r);
+            prop_assert_eq!((got, r.remaining()), reference_cohort_decode(payload));
+        }
+    }
+
+    #[test]
+    fn next_frame_matches_reference_on_arbitrary_bytes(bytes in vec(any::<u8>(), 0..300)) {
+        // From every start, on the raw bytes and with the version byte
+        // planted there (so the header checks past it run too).
+        for start in 0..=bytes.len() {
+            assert_splits_like_reference(&bytes, start);
+            if start < bytes.len() {
+                let mut planted = bytes.clone();
+                planted[start] = WIRE_VERSION;
+                assert_splits_like_reference(&planted, start);
+            }
+        }
+    }
 
     #[test]
     fn item_report_roundtrips(v in any::<u64>()) {
@@ -150,4 +247,67 @@ fn declared_length_beyond_buffer_is_truncation_not_allocation() {
         decode_report::<u64>(&frame),
         Err(LdpError::Truncated { .. })
     ));
+}
+
+/// Valid OLH-C and GRR streams (one-byte lengths) and an OUE d = 4096
+/// stream (a two-byte length) split like the reference at every cut,
+/// and so do a flipped version byte, a `0x80 0x00` length and a
+/// 10-byte length.
+#[test]
+fn next_frame_matches_reference_on_cut_streams_and_bad_headers() {
+    let descriptors = [
+        ProtocolDescriptor::builder(MechanismKind::CohortLocalHashing)
+            .domain_size(1024)
+            .epsilon(2.0)
+            .cohorts(64)
+            .build(),
+        ProtocolDescriptor::builder(MechanismKind::DirectEncoding)
+            .domain_size(16)
+            .epsilon(1.0)
+            .build(),
+        ProtocolDescriptor::builder(MechanismKind::OptimizedUnary)
+            .domain_size(4096)
+            .epsilon(1.0)
+            .build(),
+    ];
+    let registry = Registry::core();
+    for desc in descriptors {
+        let desc = desc.unwrap();
+        let mech = registry.build(&desc).unwrap();
+        let values: Vec<u64> = (0..6).map(|i| (i * 5) % desc.domain_size()).collect();
+        let mut stream = Vec::new();
+        mech.randomize_items_to_frames(&values, 3, &mut stream)
+            .unwrap();
+        assert_eq!(assert_splits_like_reference(&stream, 0), values.len());
+        for cut in 0..stream.len() {
+            assert_splits_like_reference(&stream[..cut], 0);
+        }
+        let mut flipped = stream.clone();
+        flipped[0] ^= 0x01;
+        assert!(matches!(
+            next_frame(&flipped, &mut 0),
+            Err(LdpError::VersionMismatch { .. })
+        ));
+        assert_splits_like_reference(&flipped, 0);
+    }
+
+    // `0x80 0x00` (non-canonical), then 10-byte lengths: 2^63 (a
+    // valid varint the buffer cannot hold), one overflowing u64, and
+    // one whose 10th byte still continues.
+    let ten_byte = |last: &[u8]| [&[0x80; 9][..], last].concat();
+    let lengths = [
+        vec![0x80, 0x00],
+        ten_byte(&[0x01]),
+        ten_byte(&[0x02]),
+        ten_byte(&[0x81, 0x01]),
+    ];
+    for len in lengths {
+        let bad = [&[WIRE_VERSION, tag::ITEM][..], &len, &[7; 4]].concat();
+        let mut pos = 0;
+        assert!(next_frame(&bad, &mut pos).is_err(), "{bad:?}");
+        assert_eq!(pos, 0);
+        for cut in 0..=bad.len() {
+            assert_splits_like_reference(&bad[..cut], 0);
+        }
+    }
 }

@@ -80,7 +80,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use ldp_core::protocol::ProtocolDescriptor;
 use ldp_core::snapshot::{open_envelope, put_envelope, state_tag};
-use ldp_core::wire::{put_f64_le, put_u64_le, put_uvarint, WireReader};
+use ldp_core::wire::{next_frame, put_f64_le, put_u64_le, put_uvarint, WireReader};
 use ldp_core::{Epsilon, LdpError, PrivacyBudget, Result};
 
 use crate::service::{check_one_frame, CollectorService, IngestError};
@@ -261,21 +261,26 @@ impl WindowRing {
     ///
     /// Ingesting may advance the ring: a frame from a new bucket opens
     /// that window (plus empty windows for any skipped buckets) and
-    /// retires whatever falls off the horizon. The frame is decoded once
-    /// and folds into its window and the running total together.
+    /// retires whatever falls off the horizon. The frame is validated
+    /// before event time moves, so a frame the ring refuses opens and
+    /// retires nothing. The frame is decoded once and folds into its
+    /// window and the running total together.
     ///
     /// # Errors
     /// The frame validation errors [`CollectorService::ingest`] raises;
     /// the retirement errors described on [`advance_to`](Self::advance_to).
-    /// Neither the window nor the total takes a frame that errors.
+    /// A frame that errors leaves the ring unchanged.
     pub fn ingest(&mut self, timestamp: u64, frame: &[u8]) -> Result<bool> {
         let bucket = self.bucket_of(timestamp);
         if self.is_late(bucket) {
             self.stats.late_dropped += 1;
             return Ok(false);
         }
-        self.advance_to_bucket(bucket)?;
         check_one_frame(frame)?;
+        if self.opens_window(bucket) {
+            self.check_first_frame(frame).map_err(|e| e.source)?;
+        }
+        self.advance_to_bucket(bucket)?;
         let idx = self.live_index(bucket);
         self.live[idx]
             .1
@@ -294,6 +299,12 @@ impl WindowRing {
     /// running total together
     /// ([`CollectorService::ingest_concat_mirrored`]).
     ///
+    /// A call that folds nothing moves no event time: an empty stream
+    /// returns `Ok(0)`, and a stream whose first frame is refused errors,
+    /// both with the ring unchanged. (When the call would open a window,
+    /// the first frame is checked on a scratch service before the ring
+    /// advances.)
+    ///
     /// # Errors
     /// Stops at the first bad frame like
     /// [`CollectorService::ingest_concat`]; the frames before it remain
@@ -309,6 +320,12 @@ impl WindowRing {
             let frames = count_frames(stream);
             self.stats.late_dropped += frames;
             return Ok(0);
+        }
+        if stream.is_empty() {
+            return Ok(0);
+        }
+        if self.opens_window(bucket) {
+            self.check_first_frame(stream)?;
         }
         self.advance_to_bucket(bucket)
             .map_err(|source| IngestError {
@@ -588,6 +605,30 @@ impl WindowRing {
         matches!(self.oldest_bucket(), Some(front) if bucket < front)
     }
 
+    /// True when ingesting at `bucket` would open a window: the ring is
+    /// empty or `bucket` is past the newest live window.
+    fn opens_window(&self, bucket: u64) -> bool {
+        self.newest_bucket().is_none_or(|newest| bucket > newest)
+    }
+
+    /// Folds the first frame of `stream` into a scratch service of the
+    /// ring's descriptor, so that input the ring would refuse is refused
+    /// before event time moves. The error is the one the real fold would
+    /// raise at that frame.
+    fn check_first_frame(&self, stream: &[u8]) -> std::result::Result<(), IngestError> {
+        let mut end = 0usize;
+        let first = match next_frame(stream, &mut end) {
+            Ok(_) => &stream[..end],
+            Err(_) => stream,
+        };
+        let mut scratch =
+            CollectorService::from_descriptor(&self.desc).map_err(|source| IngestError {
+                ingested: 0,
+                source,
+            })?;
+        scratch.ingest_concat(first).map(|_| ())
+    }
+
     /// Index of `bucket` in the contiguous live deque. Callers advance
     /// first, so the bucket is always present.
     fn live_index(&self, bucket: u64) -> usize {
@@ -682,7 +723,7 @@ fn count_frames(stream: &[u8]) -> u64 {
     let mut pos = 0usize;
     let mut frames = 0u64;
     while pos < stream.len() {
-        match ldp_core::wire::next_frame(stream, &mut pos) {
+        match next_frame(stream, &mut pos) {
             Ok(_) => frames += 1,
             Err(_) => return frames + 1,
         }
@@ -1091,9 +1132,15 @@ mod tests {
                     let mut ring = WindowRing::new(&desc, WindowConfig::new(10, 3)).unwrap();
                     assert_eq!(ring.ingest_concat(5, &warm).unwrap(), 20);
                     let before = ring.stats().frames_ingested;
+                    let unmoved = ring.checkpoint();
                     let err = ring.ingest_concat(15, &bad).unwrap_err();
                     assert_eq!(err.ingested, k, "{ctx}");
                     assert_eq!(ring.stats().frames_ingested - before, k as u64, "{ctx}");
+                    if k == 0 {
+                        // Nothing folded, so the second window never opened.
+                        assert_eq!(ring.checkpoint(), unmoved, "{ctx}");
+                        continue;
+                    }
 
                     let mut alone = CollectorService::from_descriptor(&desc).unwrap();
                     assert_eq!(alone.ingest_concat(&frames[..k].concat()).unwrap(), k);
@@ -1109,6 +1156,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Input the ring refuses moves no event time: garbage bytes and a
+    /// well-formed OLH-C frame whose cohort is out of range, stamped 100
+    /// windows ahead, error as a lone service would and leave the ring
+    /// checkpoint byte-identical (so nothing retires).
+    #[test]
+    fn refused_input_stamped_ahead_moves_no_event_time() {
+        use ldp_core::wire::{encode_report_vec, CohortLhReport};
+        let desc = olhc_descriptor(16);
+        let client = WireClient::from_descriptor(&desc).unwrap();
+        let mut rng = StdRng::seed_from_u64(43);
+        let garbage = vec![0xff, 0xff, 0xff];
+        let out_of_range = encode_report_vec(&CohortLhReport {
+            cohort: 32,
+            bucket: 0,
+        });
+        let ahead = 100 * 10 + 5;
+
+        let mut fresh = WindowRing::new(&desc, WindowConfig::new(10, 3)).unwrap();
+        let mut ring = WindowRing::new(&desc, WindowConfig::new(10, 3)).unwrap();
+        assert_eq!(
+            ring.ingest_concat(5, &stream(&client, &mut rng, 16, 5))
+                .unwrap(),
+            5
+        );
+        for bad in [garbage, out_of_range] {
+            let expected = CollectorService::from_descriptor(&desc)
+                .unwrap()
+                .ingest_concat(&bad)
+                .unwrap_err()
+                .source;
+            let mut followed = bad.clone();
+            followed.extend_from_slice(&stream(&client, &mut rng, 16, 2));
+            for r in [&mut ring, &mut fresh] {
+                let before = r.checkpoint();
+                assert_eq!(r.ingest(ahead, &bad).unwrap_err(), expected);
+                assert_eq!(r.checkpoint(), before);
+                for s in [&bad, &followed] {
+                    let err = r.ingest_concat(ahead, s).unwrap_err();
+                    assert_eq!((err.ingested, &err.source), (0, &expected));
+                    assert_eq!(r.checkpoint(), before);
+                }
+                assert_eq!(r.ingest_concat(ahead, &[]).unwrap(), 0);
+                assert_eq!(r.checkpoint(), before);
+            }
+        }
+        assert_eq!(ring.reports(), 5);
+        assert_eq!(ring.oldest_bucket(), Some(0));
+        assert_eq!(fresh.live_windows(), 0);
     }
 
     #[test]

@@ -297,9 +297,9 @@ fn run_plan(args: &Args) -> Result<(), String> {
         fraction * 100.0,
         plan_time.as_nanos() as f64 / cells.len() as f64 / 1e3,
     );
-    // Near-ties can flip under sampling noise; total disagreement means
-    // the cost models are wrong.
-    if fraction < 0.5 {
+    // Near-ties can flip under sampling noise; disagreement in more than
+    // a quarter of the cells means the cost models are wrong.
+    if fraction < 0.75 {
         return Err(format!(
             "measured rankings disagree with predictions in {}/{} cells",
             cells.len() - agreements,
