@@ -241,13 +241,28 @@ pub struct Frame<'a> {
 /// [`LdpError::Truncated`] / [`LdpError::Malformed`] for a frame that
 /// ends early or declares an impossible length.
 pub fn next_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Frame<'a>> {
-    if let [WIRE_VERSION, tag, len @ 0..=0x7f, tail @ ..] = &buf[*pos..] {
-        if let Some(payload) = tail.get(..usize::from(*len)) {
-            *pos += 3 + payload.len();
-            return Ok(Frame { tag: *tag, payload });
+    if let [WIRE_VERSION, tag, rest @ ..] = &buf[*pos..] {
+        if let Some((len, tail)) = split_one_byte_uvarint(rest) {
+            if let Some(payload) = tail.get(..usize::from(len)) {
+                *pos += 3 + payload.len();
+                return Ok(Frame { tag: *tag, payload });
+            }
         }
     }
     next_frame_via_reader(buf, pos)
+}
+
+/// Splits a varint of one byte (a value under 128: the continuation
+/// bit is clear) off the front of `bytes`, returning the value and the
+/// bytes after it. `None` for a longer varint or an empty slice, which
+/// the caller reads through [`WireReader::uvarint`] instead; for a
+/// one-byte varint both reads give the same value.
+#[inline(always)]
+fn split_one_byte_uvarint(bytes: &[u8]) -> Option<(u8, &[u8])> {
+    match bytes {
+        [v @ 0..=0x7f, rest @ ..] => Some((*v, rest)),
+        _ => None,
+    }
 }
 
 /// [`next_frame`] through a [`WireReader`]: multi-byte lengths and
@@ -589,12 +604,14 @@ impl WireReport for CohortLhReport {
         // report of a descriptor with at most 128 cohorts and buckets), so
         // they are read straight off the slice; the varint reads below
         // give the same result for them.
-        if let [cohort @ 0..=0x7f, bucket @ 0..=0x7f, ..] = r.buf[r.pos..] {
-            r.pos += 2;
-            return Ok(Self {
-                cohort: u32::from(cohort),
-                bucket: u32::from(bucket),
-            });
+        if let Some((cohort, rest)) = split_one_byte_uvarint(&r.buf[r.pos..]) {
+            if let Some((bucket, _)) = split_one_byte_uvarint(rest) {
+                r.pos += 2;
+                return Ok(Self {
+                    cohort: u32::from(cohort),
+                    bucket: u32::from(bucket),
+                });
+            }
         }
         let cohort = r.uvarint()?;
         let bucket = r.uvarint()?;

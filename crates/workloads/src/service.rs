@@ -354,6 +354,21 @@ impl CollectorService {
         into_ingest_result(ingested, res)
     }
 
+    /// Checks the first frame of `stream` as
+    /// [`ingest_concat`](Self::ingest_concat) would fold it, on a fresh
+    /// aggregator of this service's mechanism: `Ok(())` when that call
+    /// would take the frame, otherwise the error it would raise there.
+    /// This service is unchanged.
+    pub(crate) fn check_first_frame(&self, stream: &[u8]) -> Result<()> {
+        let mut end = 0usize;
+        let first = match next_frame(stream, &mut end) {
+            Ok(_) => &stream[..end],
+            Err(_) => stream,
+        };
+        let mut scratch = self.mech.new_erased_aggregator();
+        self.mech.accumulate_concat(scratch.as_mut(), None, first).1
+    }
+
     /// [`ingest_concat`](Self::ingest_concat) into this service **and**
     /// `mirror` at once: each frame is decoded once and folds into both
     /// aggregates (a window and its running total, say), so the two

@@ -278,7 +278,7 @@ impl WindowRing {
         }
         check_one_frame(frame)?;
         if self.opens_window(bucket) {
-            self.check_first_frame(frame).map_err(|e| e.source)?;
+            self.total.check_first_frame(frame)?;
         }
         self.advance_to_bucket(bucket)?;
         let idx = self.live_index(bucket);
@@ -302,7 +302,7 @@ impl WindowRing {
     /// A call that folds nothing moves no event time: an empty stream
     /// returns `Ok(0)`, and a stream whose first frame is refused errors,
     /// both with the ring unchanged. (When the call would open a window,
-    /// the first frame is checked on a scratch service before the ring
+    /// the first frame is checked on a fresh aggregator before the ring
     /// advances.)
     ///
     /// # Errors
@@ -325,7 +325,12 @@ impl WindowRing {
             return Ok(0);
         }
         if self.opens_window(bucket) {
-            self.check_first_frame(stream)?;
+            self.total
+                .check_first_frame(stream)
+                .map_err(|source| IngestError {
+                    ingested: 0,
+                    source,
+                })?;
         }
         self.advance_to_bucket(bucket)
             .map_err(|source| IngestError {
@@ -609,24 +614,6 @@ impl WindowRing {
     /// empty or `bucket` is past the newest live window.
     fn opens_window(&self, bucket: u64) -> bool {
         self.newest_bucket().is_none_or(|newest| bucket > newest)
-    }
-
-    /// Folds the first frame of `stream` into a scratch service of the
-    /// ring's descriptor, so that input the ring would refuse is refused
-    /// before event time moves. The error is the one the real fold would
-    /// raise at that frame.
-    fn check_first_frame(&self, stream: &[u8]) -> std::result::Result<(), IngestError> {
-        let mut end = 0usize;
-        let first = match next_frame(stream, &mut end) {
-            Ok(_) => &stream[..end],
-            Err(_) => stream,
-        };
-        let mut scratch =
-            CollectorService::from_descriptor(&self.desc).map_err(|source| IngestError {
-                ingested: 0,
-                source,
-            })?;
-        scratch.ingest_concat(first).map(|_| ())
     }
 
     /// Index of `bucket` in the contiguous live deque. Callers advance
@@ -1137,7 +1124,10 @@ mod tests {
                     assert_eq!(err.ingested, k, "{ctx}");
                     assert_eq!(ring.stats().frames_ingested - before, k as u64, "{ctx}");
                     if k == 0 {
-                        // Nothing folded, so the second window never opened.
+                        // Nothing folded, so the second window never opened,
+                        // and the bad frame alone does not open it either.
+                        assert_eq!(ring.checkpoint(), unmoved, "{ctx}");
+                        assert!(ring.ingest(15, &frame).is_err(), "{ctx}");
                         assert_eq!(ring.checkpoint(), unmoved, "{ctx}");
                         continue;
                     }
