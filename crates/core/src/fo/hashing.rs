@@ -711,8 +711,14 @@ impl CohortLhAggregator {
         support
     }
 
-    /// Counts one report its caller has range-checked.
-    fn count(&mut self, report: &CohortLhReport) {
+    /// True when `report` names a cell of the `C×g` matrix.
+    pub(crate) fn fits(&self, report: &CohortLhReport) -> bool {
+        report.cohort < self.cohorts && u64::from(report.bucket) < self.g
+    }
+
+    /// Counts one report its caller has range-checked with
+    /// [`fits`](Self::fits).
+    pub(crate) fn count(&mut self, report: &CohortLhReport) {
         self.counts[report.cohort as usize * self.g as usize + report.bucket as usize] += 1;
         self.n += 1;
     }
@@ -747,7 +753,7 @@ impl FoAggregator for CohortLhAggregator {
     type Report = CohortLhReport;
 
     fn try_accumulate(&mut self, report: &CohortLhReport) -> crate::Result<()> {
-        if report.cohort >= self.cohorts || report.bucket as u64 >= self.g {
+        if !self.fits(report) {
             return Err(crate::LdpError::Malformed(format!(
                 "cohort report ({}, {}) outside the {}x{} cohort matrix",
                 report.cohort, report.bucket, self.cohorts, self.g
@@ -759,7 +765,7 @@ impl FoAggregator for CohortLhAggregator {
 
     fn accumulate(&mut self, report: &CohortLhReport) {
         assert!(
-            report.cohort < self.cohorts && (report.bucket as u64) < self.g,
+            self.fits(report),
             "report ({}, {}) outside the {}x{} cohort matrix",
             report.cohort,
             report.bucket,

@@ -43,8 +43,8 @@ use crate::fo::{
     SummationHistogramEncoding, SymmetricUnaryEncoding, ThresholdHistogramEncoding,
 };
 use crate::wire::{
-    put_f64_le, put_u64_le, put_uvarint, ErasedBridge, ErasedMechanism, FusedUnaryMechanism,
-    OracleMechanism, WireReader,
+    put_f64_le, put_u64_le, put_uvarint, CohortLhMechanism, ErasedBridge, ErasedMechanism,
+    FusedUnaryMechanism, OracleMechanism, WireReader,
 };
 use crate::{Epsilon, LdpError, Result};
 use std::collections::BTreeMap;
@@ -577,9 +577,11 @@ impl Registry {
                 d,
             )
         });
+        // OLH-C rides `CohortLhMechanism`, whose stream fold counts a
+        // five-byte frame straight off the stream.
         r.register(&CoreOracleCost(MechanismKind::CohortLocalHashing), |d| {
             erase(
-                OracleMechanism(CohortLocalHashing::optimized_with_seed(
+                CohortLhMechanism(CohortLocalHashing::optimized_with_seed(
                     d.domain_size(),
                     d.cohorts(),
                     d.hash_seed(),

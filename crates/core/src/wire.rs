@@ -41,7 +41,10 @@
 //! the aggregator state of the fused in-process path, because both
 //! consume the same RNG stream and fold into the same counters.
 
-use crate::fo::{FoAggregator, FrequencyOracle, PackedOnes, SetBitSampler, PACKED_BATCH};
+use crate::fo::hashing::CohortLhAggregator;
+use crate::fo::{
+    CohortLocalHashing, FoAggregator, FrequencyOracle, PackedOnes, SetBitSampler, PACKED_BATCH,
+};
 use crate::mech::BatchMechanism;
 use crate::protocol::ProtocolDescriptor;
 use crate::{LdpError, Result};
@@ -241,28 +244,15 @@ pub struct Frame<'a> {
 /// [`LdpError::Truncated`] / [`LdpError::Malformed`] for a frame that
 /// ends early or declares an impossible length.
 pub fn next_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Frame<'a>> {
-    if let [WIRE_VERSION, tag, rest @ ..] = &buf[*pos..] {
-        if let Some((len, tail)) = split_one_byte_uvarint(rest) {
-            if let Some(payload) = tail.get(..usize::from(len)) {
-                *pos += 3 + payload.len();
-                return Ok(Frame { tag: *tag, payload });
-            }
+    // A length byte under 0x80 has its continuation bit clear: it is the
+    // whole varint, with the value `uvarint` would read.
+    if let [WIRE_VERSION, tag, len @ 0..=0x7f, rest @ ..] = &buf[*pos..] {
+        if let Some(payload) = rest.get(..usize::from(*len)) {
+            *pos += 3 + payload.len();
+            return Ok(Frame { tag: *tag, payload });
         }
     }
     next_frame_via_reader(buf, pos)
-}
-
-/// Splits a varint of one byte (a value under 128: the continuation
-/// bit is clear) off the front of `bytes`, returning the value and the
-/// bytes after it. `None` for a longer varint or an empty slice, which
-/// the caller reads through [`WireReader::uvarint`] instead; for a
-/// one-byte varint both reads give the same value.
-#[inline(always)]
-fn split_one_byte_uvarint(bytes: &[u8]) -> Option<(u8, &[u8])> {
-    match bytes {
-        [v @ 0..=0x7f, rest @ ..] => Some((*v, rest)),
-        _ => None,
-    }
 }
 
 /// [`next_frame`] through a [`WireReader`]: multi-byte lengths and
@@ -599,20 +589,13 @@ impl WireReport for CohortLhReport {
         put_uvarint(out, self.bucket as u64);
     }
 
+    /// Reads the cohort and bucket varints. On the byte path the
+    /// five-byte frame with a one-byte cohort and bucket never gets
+    /// here: [`CohortLhMechanism::fold_frames`] counts it off the
+    /// stream. This read serves every other OLH-C payload (two-byte
+    /// cohorts of descriptors with more than 128 cohorts, and every
+    /// error) and [`decode_report`].
     fn decode_payload(r: &mut WireReader<'_>) -> Result<Self> {
-        // A cohort and a bucket under 128 are one varint byte each (every
-        // report of a descriptor with at most 128 cohorts and buckets), so
-        // they are read straight off the slice; the varint reads below
-        // give the same result for them.
-        if let Some((cohort, rest)) = split_one_byte_uvarint(&r.buf[r.pos..]) {
-            if let Some((bucket, _)) = split_one_byte_uvarint(rest) {
-                r.pos += 2;
-                return Ok(Self {
-                    cohort: u32::from(cohort),
-                    bucket: u32::from(bucket),
-                });
-            }
-        }
         let cohort = r.uvarint()?;
         let bucket = r.uvarint()?;
         let cohort = u32::try_from(cohort)
@@ -789,8 +772,9 @@ pub trait WireMechanism: BatchMechanism {
     /// fixed-width report types) and folds it through
     /// [`FoAggregator::try_accumulate`] on each target.
     /// [`FusedUnaryMechanism`] overrides it to fold bit-vector payloads
-    /// straight into the counters, eight at a time. Overrides must leave
-    /// the state the default would.
+    /// straight into the counters, eight at a time, and
+    /// [`CohortLhMechanism`] to count five-byte OLH-C frames straight off
+    /// the stream. Overrides must leave the state the default would.
     ///
     /// # Errors
     /// Any [`LdpError`] for a malformed or truncated frame, a foreign
@@ -807,30 +791,45 @@ pub trait WireMechanism: BatchMechanism {
     {
         let mut pos = 0usize;
         let mut n = 0usize;
-        let mut scratch: Option<ReportOf<Self>> = None;
+        let mut scratch = None;
         while pos < stream.len() {
-            let folded = next_payload(stream, &mut pos, ReportOf::<Self>::TAG).and_then(|p| {
-                let mut r = WireReader::new(p);
-                let report = match scratch {
-                    Some(ref mut s) => {
-                        s.decode_payload_into(&mut r)?;
-                        s
-                    }
-                    None => scratch.insert(ReportOf::<Self>::decode_payload(&mut r)?),
-                };
-                r.finish()?;
-                agg.try_accumulate(report)?;
-                match mirror.as_deref_mut() {
-                    Some(m) => m.try_accumulate(report),
-                    None => Ok(()),
-                }
-            });
-            if let Err(e) = folded {
+            if let Err(e) = fold_frame(agg, mirror.as_deref_mut(), stream, &mut pos, &mut scratch) {
                 return (n, Err(e));
             }
             n += 1;
         }
         (n, Ok(()))
+    }
+}
+
+/// One step of the default stream fold ([`WireMechanism::fold_frames`]):
+/// splits the frame at `*pos` off `stream`, decodes it into `scratch`
+/// (reusing the report held there) and counts it into `agg`, then into
+/// `mirror`. On error `*pos` is unspecified and the caller stops.
+fn fold_frame<A>(
+    agg: &mut A,
+    mirror: Option<&mut A>,
+    stream: &[u8],
+    pos: &mut usize,
+    scratch: &mut Option<A::Report>,
+) -> Result<()>
+where
+    A: FoAggregator,
+    A::Report: WireReport,
+{
+    let mut r = WireReader::new(next_payload(stream, pos, A::Report::TAG)?);
+    let report = match scratch {
+        Some(s) => {
+            s.decode_payload_into(&mut r)?;
+            s
+        }
+        None => scratch.insert(A::Report::decode_payload(&mut r)?),
+    };
+    r.finish()?;
+    agg.try_accumulate(report)?;
+    match mirror {
+        Some(m) => m.try_accumulate(report),
+        None => Ok(()),
     }
 }
 
@@ -1062,6 +1061,91 @@ fn packed_bits(payload: &[u8]) -> Result<(&[u8], usize)> {
     let bytes = r.bytes(bits.div_ceil(8))?;
     r.finish()?;
     Ok((bytes, bits))
+}
+
+/// [`OracleMechanism`] for OLH-C ([`CohortLocalHashing`]) with a stream
+/// fold of its own, the cohort lane: a frame that is exactly
+/// `[WIRE_VERSION, COHORT_HASH, 2, cohort, bucket]` with a one-byte
+/// cohort and bucket (each under 128) is counted straight into the
+/// `C×g` matrix of every target, with no reader, scratch report or
+/// `Result` in between. Every report of a descriptor with at most 128
+/// cohorts and buckets takes this frame; a two-byte cohort (more than
+/// 128 cohorts) and every frame that fails a check take the default
+/// fold's step for that one frame, so counts, errors and state are
+/// exactly the default's. The client side is [`OracleMechanism`]'s.
+#[derive(Debug, Clone)]
+pub struct CohortLhMechanism(pub CohortLocalHashing);
+
+impl BatchMechanism for CohortLhMechanism {
+    type Input = u64;
+    type Aggregator = CohortLhAggregator;
+
+    fn new_aggregator(&self) -> CohortLhAggregator {
+        self.0.new_aggregator()
+    }
+
+    fn accumulate_batch<R: RngCore>(
+        &self,
+        inputs: &[u64],
+        rng: &mut R,
+        agg: &mut CohortLhAggregator,
+    ) {
+        self.0.randomize_accumulate_batch(inputs, rng, agg);
+    }
+}
+
+impl WireMechanism for CohortLhMechanism {
+    fn try_randomize_input(&self, input: &u64, rng: &mut dyn RngCore) -> Result<CohortLhReport> {
+        OracleMechanism(self.0).try_randomize_input(input, rng)
+    }
+
+    fn try_randomize_batch<R: RngCore>(
+        &self,
+        inputs: &[u64],
+        rng: &mut R,
+        sink: impl FnMut(&CohortLhReport),
+    ) -> Result<()> {
+        OracleMechanism(self.0).try_randomize_batch(inputs, rng, sink)
+    }
+
+    /// The cohort lane (see the type): the whole five-byte frame is
+    /// matched in one slice pattern, and its cell is counted only when
+    /// it fits `agg` and `mirror` alike; otherwise `fold_frame` takes
+    /// the frame.
+    fn fold_frames(
+        &self,
+        agg: &mut CohortLhAggregator,
+        mut mirror: Option<&mut CohortLhAggregator>,
+        stream: &[u8],
+    ) -> (usize, Result<()>) {
+        let mut pos = 0usize;
+        let mut n = 0usize;
+        let mut scratch = None;
+        while pos < stream.len() {
+            if let &[WIRE_VERSION, tag::COHORT_HASH, 2, cohort @ 0..=0x7f, bucket @ 0..=0x7f, ..] =
+                &stream[pos..]
+            {
+                let report = CohortLhReport {
+                    cohort: u32::from(cohort),
+                    bucket: u32::from(bucket),
+                };
+                if agg.fits(&report) && mirror.as_deref().is_none_or(|m| m.fits(&report)) {
+                    agg.count(&report);
+                    if let Some(m) = mirror.as_deref_mut() {
+                        m.count(&report);
+                    }
+                    pos += 5;
+                    n += 1;
+                    continue;
+                }
+            }
+            if let Err(e) = fold_frame(agg, mirror.as_deref_mut(), stream, &mut pos, &mut scratch) {
+                return (n, Err(e));
+            }
+            n += 1;
+        }
+        (n, Ok(()))
+    }
 }
 
 /// The object-safe server-side state behind a collector: a mechanism's

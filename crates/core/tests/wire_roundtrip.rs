@@ -3,14 +3,19 @@
 //! arbitrary representable reports, and decoding never panics on
 //! corrupted, truncated, or wrong-version bytes — it returns
 //! `LdpError`. `next_frame` splits frames, and `CohortLhReport` decodes
-//! its payload, exactly as plain `WireReader` reads do, on any bytes.
+//! its payload, exactly as plain `WireReader` reads do, on any bytes;
+//! the OLH-C cohort lane folds every stream exactly as the default
+//! frame-by-frame fold does.
 
+use ldp_core::fo::hashing::CohortLhAggregator;
+use ldp_core::fo::{CohortLocalHashing, FoAggregator, FrequencyOracle};
 use ldp_core::protocol::{MechanismKind, ProtocolDescriptor, Registry};
+use ldp_core::snapshot::snapshot_to;
 use ldp_core::wire::{
-    decode_report, encode_report_vec, next_frame, tag, CohortLhReport, Frame, HrReport, WireReader,
-    WireReport, WIRE_VERSION,
+    decode_report, encode_report_vec, next_frame, tag, CohortLhMechanism, CohortLhReport, Frame,
+    HrReport, WireMechanism, WireReader, WireReport, WIRE_VERSION,
 };
-use ldp_core::{LdpError, Result};
+use ldp_core::{Epsilon, LdpError, Result};
 use ldp_sketch::BitVec;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -98,6 +103,88 @@ fn reference_cohort_decode(payload: &[u8]) -> (Result<CohortLhReport>, usize) {
     (res, r.remaining())
 }
 
+/// The default stream fold with no lane, kept as the reference the
+/// cohort lane must agree with: each frame split by
+/// `reference_next_frame`, decoded by `reference_cohort_decode`, checked
+/// for trailing bytes, then counted through `try_accumulate` into `agg`
+/// and then `mirror`.
+fn reference_cohort_fold(
+    agg: &mut CohortLhAggregator,
+    mut mirror: Option<&mut CohortLhAggregator>,
+    stream: &[u8],
+) -> (usize, Result<()>) {
+    let mut pos = 0usize;
+    let mut n = 0usize;
+    while pos < stream.len() {
+        let mut fold = || {
+            let frame = reference_next_frame(stream, &mut pos)?;
+            if frame.tag != tag::COHORT_HASH {
+                return Err(LdpError::ReportTypeMismatch {
+                    got: frame.tag,
+                    expected: tag::COHORT_HASH,
+                });
+            }
+            let (report, left) = reference_cohort_decode(frame.payload);
+            let report = report?;
+            WireReader::new(&frame.payload[frame.payload.len() - left..]).finish()?;
+            agg.try_accumulate(&report)?;
+            match mirror.as_deref_mut() {
+                Some(m) => m.try_accumulate(&report),
+                None => Ok(()),
+            }
+        };
+        if let Err(e) = fold() {
+            return (n, Err(e));
+        }
+        n += 1;
+    }
+    (n, Ok(()))
+}
+
+/// OLH-C over d = 1024 at ε = 1 (g = 4 buckets) with `cohorts` cohorts.
+fn cohort_oracle(cohorts: u32) -> CohortLocalHashing {
+    CohortLocalHashing::optimized_with_seed(1024, cohorts, 17, Epsilon::new(1.0).unwrap())
+}
+
+/// Folds every cut of `stream` through the cohort lane and through the
+/// reference, lone and into a mirror shaped like `mirror` (the lane's
+/// own shape when `None`), and asserts equal `(count, outcome)` and
+/// equal aggregate and mirror state. Returns the whole stream's count.
+fn assert_lane_matches_reference(
+    oracle: &CohortLocalHashing,
+    mirror: Option<&CohortLocalHashing>,
+    stream: &[u8],
+) -> usize {
+    let lane = CohortLhMechanism(*oracle);
+    let state = |agg: &CohortLhAggregator| {
+        let mut out = Vec::new();
+        snapshot_to(agg, &mut out);
+        out
+    };
+    let mirror = mirror.unwrap_or(oracle);
+    for cut in 0..=stream.len() {
+        let cut_stream = &stream[..cut];
+        for mirrored in [false, true] {
+            let (mut agg, mut want_agg) = (oracle.new_aggregator(), oracle.new_aggregator());
+            let (mut m, mut want_m) = (mirror.new_aggregator(), mirror.new_aggregator());
+            let got = lane.fold_frames(&mut agg, mirrored.then_some(&mut m), cut_stream);
+            let want =
+                reference_cohort_fold(&mut want_agg, mirrored.then_some(&mut want_m), cut_stream);
+            assert_eq!(got, want, "cut {cut}, mirrored {mirrored}: {cut_stream:?}");
+            assert_eq!(state(&agg), state(&want_agg), "cut {cut}: {cut_stream:?}");
+            assert_eq!(state(&m), state(&want_m), "cut {cut}: {cut_stream:?}");
+        }
+    }
+    let mut agg = oracle.new_aggregator();
+    lane.fold_frames(&mut agg, None, stream).0
+}
+
+/// One OLH-C frame, encoded as a client would (two-byte varints for
+/// values from 128 up).
+fn cohort_frame(cohort: u32, bucket: u32) -> Vec<u8> {
+    encode_report_vec(&CohortLhReport { cohort, bucket })
+}
+
 /// Splits frames off `buf` from `start` with `next_frame` and with the
 /// reference until the first error or the end of the buffer, asserting
 /// equal results (the payload as the same sub-slice) and equal `pos`
@@ -141,6 +228,44 @@ proptest! {
             let got = CohortLhReport::decode_payload(&mut r);
             prop_assert_eq!((got, r.remaining()), reference_cohort_decode(payload));
         }
+    }
+
+    // Arbitrary bytes with planted OLH-C frames: each word of `plan`
+    // adds one piece (a frame, often at an edge of the matrix or of the
+    // one-byte range, or a run of the arbitrary bytes), on a descriptor
+    // with 64 or 300 cohorts and a mirror of the same or a smaller shape.
+    #[test]
+    fn cohort_lane_matches_reference_on_planted_streams(
+        bytes in vec(any::<u8>(), 0..48),
+        plan in vec(any::<u32>(), 0..12),
+        wide in any::<bool>(),
+        same_mirror in any::<bool>(),
+    ) {
+        let cohorts = if wide { 300 } else { 64 };
+        let oracle = cohort_oracle(cohorts);
+        let narrow = cohort_oracle(cohorts / 2);
+        let g = 4;
+        let mut stream = Vec::new();
+        let mut rest = &bytes[..];
+        for w in plan {
+            let pick = |v: u32, top: u32| match v % 8 {
+                0 => top - 1,
+                1 => top,
+                2 => 0x7f,
+                3 => 0x80,
+                _ => v % top,
+            };
+            match w % 8 {
+                0..=5 => stream.extend(cohort_frame(pick(w >> 3, cohorts), pick(w >> 11, g))),
+                _ => {
+                    let (run, tail) = rest.split_at((w as usize >> 3) % (rest.len() + 1));
+                    stream.extend_from_slice(run);
+                    rest = tail;
+                }
+            }
+        }
+        let mirror = (!same_mirror).then_some(&narrow);
+        assert_lane_matches_reference(&oracle, mirror, &stream);
     }
 
     #[test]
@@ -308,6 +433,57 @@ fn next_frame_matches_reference_on_cut_streams_and_bad_headers() {
         assert_eq!(pos, 0);
         for cut in 0..=bad.len() {
             assert_splits_like_reference(&bad[..cut], 0);
+        }
+    }
+}
+
+/// The cohort lane against the reference on fixed streams: every cut of
+/// a valid client stream, then a valid prefix followed by each frame
+/// the lane must hand to the default step, on descriptors with 64
+/// cohorts (every frame five bytes) and 300 (two-byte cohorts from 128
+/// up), lone, mirrored and into a mirror of another shape.
+#[test]
+fn cohort_lane_matches_reference_on_edge_frames() {
+    let v = WIRE_VERSION;
+    let t = tag::COHORT_HASH;
+    for cohorts in [64u32, 300] {
+        let oracle = cohort_oracle(cohorts);
+        let narrow = cohort_oracle(cohorts / 2);
+        let desc = ProtocolDescriptor::builder(MechanismKind::CohortLocalHashing)
+            .domain_size(1024)
+            .epsilon(1.0)
+            .cohorts(cohorts)
+            .hash_seed(17)
+            .build()
+            .unwrap();
+        let mech = Registry::core().build(&desc).unwrap();
+        let values: Vec<u64> = (0..40).map(|i| i * 31 % 1024).collect();
+        let mut valid = Vec::new();
+        mech.randomize_items_to_frames(&values, 5, &mut valid)
+            .unwrap();
+        assert_eq!(
+            assert_lane_matches_reference(&oracle, None, &valid),
+            values.len()
+        );
+        assert_lane_matches_reference(&oracle, Some(&narrow), &valid);
+
+        let prefix = [cohort_frame(0, 0), cohort_frame(cohorts - 1, 3)].concat();
+        let edges = [
+            cohort_frame(cohorts, 0),
+            cohort_frame(0, 4),
+            cohort_frame(cohorts / 2, 1),
+            cohort_frame(127, 3),
+            cohort_frame(128, 0),
+            vec![v, t, 3, 1, 2, 0],
+            vec![v, t, 3, 0x80, 0x00, 1],
+            vec![v, tag::ITEM, 2, 1, 2],
+            vec![v ^ 1, t, 2, 1, 2],
+            vec![v, t, 1, 1],
+        ];
+        for edge in edges {
+            let stream = [&prefix[..], &edge, &cohort_frame(1, 1)].concat();
+            assert_lane_matches_reference(&oracle, None, &stream);
+            assert_lane_matches_reference(&oracle, Some(&narrow), &stream);
         }
     }
 }

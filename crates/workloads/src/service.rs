@@ -64,6 +64,7 @@ use ldp_core::wire::{
 };
 use ldp_core::{LdpError, Result};
 use rand::RngCore;
+use std::sync::Arc;
 
 use crate::parallel::shard_seed;
 
@@ -293,7 +294,9 @@ impl WireClient {
 /// and snapshots estimates. See the module docs for the guarantees.
 #[derive(Debug)]
 pub struct CollectorService {
-    mech: Box<dyn ErasedMechanism>,
+    /// Shared by every service [`empty_like`](Self::empty_like) or
+    /// [`try_clone`](Self::try_clone) makes from this one.
+    mech: Arc<dyn ErasedMechanism>,
     agg: Box<dyn ErasedAggregator>,
 }
 
@@ -314,9 +317,38 @@ impl CollectorService {
     /// # Errors
     /// Whatever [`Registry::build`] surfaces.
     pub fn with_registry(registry: &Registry, descriptor: &ProtocolDescriptor) -> Result<Self> {
-        let mech = registry.build(descriptor)?;
+        let mech: Arc<dyn ErasedMechanism> = Arc::from(registry.build(descriptor)?);
         let agg = mech.new_erased_aggregator();
         Ok(Self { mech, agg })
+    }
+
+    /// An empty service on this service's mechanism: the same
+    /// descriptor, with no registry lookup or mechanism build.
+    pub(crate) fn empty_like(&self) -> Self {
+        Self {
+            mech: Arc::clone(&self.mech),
+            agg: self.mech.new_erased_aggregator(),
+        }
+    }
+
+    /// A copy of this service on its mechanism, the aggregate carried
+    /// over through its state BLOB.
+    ///
+    /// # Errors
+    /// Whatever [`ErasedAggregator::restore`] refuses of the BLOB this
+    /// aggregate wrote (nothing, for a well-behaved aggregator).
+    pub(crate) fn try_clone(&self) -> Result<Self> {
+        let mut state = Vec::new();
+        self.agg.snapshot(&mut state);
+        let mut copy = self.empty_like();
+        copy.agg.restore(&state)?;
+        Ok(copy)
+    }
+
+    /// True when both services run on one shared mechanism instance.
+    #[cfg(test)]
+    pub(crate) fn shares_mechanism(&self, other: &CollectorService) -> bool {
+        Arc::ptr_eq(&self.mech, &other.mech)
     }
 
     /// The descriptor this service aggregates for.

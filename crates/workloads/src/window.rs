@@ -169,12 +169,13 @@ pub struct WindowStats {
 /// total. See the [module docs](self) for the design.
 #[derive(Debug)]
 pub struct WindowRing {
-    desc: ProtocolDescriptor,
     config: WindowConfig,
     /// Live window deltas, oldest first, contiguous in bucket index:
     /// `live[i]` covers bucket `front_bucket + i`.
     live: VecDeque<(u64, CollectorService)>,
-    /// Merge of every live delta, maintained incrementally.
+    /// Merge of every live delta, maintained incrementally. Its
+    /// mechanism is the ring's one mechanism, shared by every window:
+    /// windows are opened, reset and copied through it.
     total: CollectorService,
     stats: WindowStats,
 }
@@ -190,7 +191,6 @@ impl WindowRing {
     pub fn new(descriptor: &ProtocolDescriptor, config: WindowConfig) -> Result<Self> {
         config.validate()?;
         Ok(Self {
-            desc: descriptor.clone(),
             config,
             live: VecDeque::with_capacity(config.windows + 1),
             total: CollectorService::from_descriptor(descriptor)?,
@@ -200,7 +200,7 @@ impl WindowRing {
 
     /// The descriptor every window aggregates for.
     pub fn descriptor(&self) -> &ProtocolDescriptor {
-        &self.desc
+        self.total.descriptor()
     }
 
     /// The ring configuration.
@@ -360,11 +360,11 @@ impl WindowRing {
     /// [`LdpError::CounterOverflow`] (a forged delta; neither window nor
     /// total takes it); the retirement errors of [`advance_to`](Self::advance_to).
     pub fn absorb(&mut self, timestamp: u64, delta: CollectorService) -> Result<bool> {
-        if delta.descriptor() != &self.desc {
+        if delta.descriptor() != self.descriptor() {
             return Err(LdpError::Malformed(format!(
                 "absorb: descriptor mismatch ({} vs {})",
                 delta.descriptor().kind().name(),
-                self.desc.kind().name()
+                self.descriptor().kind().name()
             )));
         }
         let bucket = self.bucket_of(timestamp);
@@ -374,7 +374,7 @@ impl WindowRing {
             return Ok(false);
         }
         self.advance_to_bucket(bucket)?;
-        let copy = CollectorService::from_checkpoint(&delta.checkpoint())?;
+        let copy = delta.try_clone()?;
         // Total first: a window's counters never exceed the total's, so if
         // the total takes the delta the window cannot refuse it.
         self.total.merge(copy)?;
@@ -538,6 +538,9 @@ impl WindowRing {
                 "ring checkpoint carries {live_count} live windows but a horizon of {windows}"
             )));
         }
+        // The first embedded checkpoint builds the ring's one mechanism;
+        // every later one is restored onto it, in blob order, so a
+        // damaged blob fails where it did when each built its own.
         let mut live = VecDeque::with_capacity(windows + 1);
         let mut live_reports = 0usize;
         for i in 0..live_count {
@@ -551,21 +554,15 @@ impl WindowRing {
             }
             let blob_len = usize::try_from(pr.uvarint()?)
                 .map_err(|_| LdpError::Malformed("window checkpoint length overflows".into()))?;
-            let window = CollectorService::from_checkpoint(pr.bytes(blob_len)?)?;
+            let window = restore_on(live.front().map(|(_, w)| w), pr.bytes(blob_len)?)?;
             live_reports += window.reports();
             live.push_back((bucket, window));
         }
         let blob_len = usize::try_from(pr.uvarint()?)
             .map_err(|_| LdpError::Malformed("total checkpoint length overflows".into()))?;
-        let total = CollectorService::from_checkpoint(pr.bytes(blob_len)?)?;
+        let total = restore_on(live.front().map(|(_, w)| w), pr.bytes(blob_len)?)?;
         pr.finish()?;
 
-        let desc = total.descriptor().clone();
-        if live.iter().any(|(_, w)| w.descriptor() != &desc) {
-            return Err(LdpError::StateMismatch(
-                "ring checkpoint mixes descriptors across windows".into(),
-            ));
-        }
         if total.reports() != live_reports {
             return Err(LdpError::StateMismatch(format!(
                 "ring total covers {} reports but live windows carry {live_reports}",
@@ -573,7 +570,6 @@ impl WindowRing {
             )));
         }
         Ok(Self {
-            desc,
             config,
             live,
             total,
@@ -590,7 +586,7 @@ impl WindowRing {
     /// ring is unchanged on error.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<()> {
         let other = Self::from_checkpoint(bytes)?;
-        if other.desc != self.desc {
+        if other.descriptor() != self.descriptor() {
             return Err(LdpError::StateMismatch(
                 "ring checkpoint was taken under a different descriptor".into(),
             ));
@@ -629,8 +625,7 @@ impl WindowRing {
     fn advance_to_bucket(&mut self, bucket: u64) -> Result<()> {
         let newest = match self.newest_bucket() {
             None => {
-                self.live
-                    .push_back((bucket, CollectorService::from_descriptor(&self.desc)?));
+                self.live.push_back((bucket, self.total.empty_like()));
                 return Ok(());
             }
             Some(b) => b,
@@ -648,17 +643,15 @@ impl WindowRing {
             // accepted, not dropped as late.
             self.stats.retired_wholesale += self.live.len() as u64;
             self.live.clear();
-            self.total = CollectorService::from_descriptor(&self.desc)?;
+            self.total = self.total.empty_like();
             let start = bucket.saturating_sub(self.config.windows as u64 - 1);
             for b in start..=bucket {
-                self.live
-                    .push_back((b, CollectorService::from_descriptor(&self.desc)?));
+                self.live.push_back((b, self.total.empty_like()));
             }
             return Ok(());
         }
         for b in newest + 1..=bucket {
-            self.live
-                .push_back((b, CollectorService::from_descriptor(&self.desc)?));
+            self.live.push_back((b, self.total.empty_like()));
             while self.live.len() > self.config.windows {
                 self.retire_front()?;
             }
@@ -694,12 +687,27 @@ impl WindowRing {
     /// bucket order (the deterministic fallback for non-subtractive
     /// states; `O(W × state)` where the subtract path is `O(state)`).
     fn rebuild_total(&mut self) -> Result<()> {
-        let mut total = CollectorService::from_descriptor(&self.desc)?;
+        let mut total = self.total.empty_like();
         for (_, window) in &self.live {
-            total.merge(CollectorService::from_checkpoint(&window.checkpoint())?)?;
+            total.merge(window.try_clone()?)?;
         }
         self.total = total;
         Ok(())
+    }
+}
+
+/// Restores an embedded service checkpoint onto `first`'s mechanism
+/// ([`CollectorService::restore`], which refuses a checkpoint taken
+/// under another descriptor with [`LdpError::StateMismatch`]), or builds
+/// the mechanism from the checkpoint when there is no `first` yet.
+fn restore_on(first: Option<&CollectorService>, blob: &[u8]) -> Result<CollectorService> {
+    match first {
+        Some(first) => {
+            let mut service = first.empty_like();
+            service.restore(blob)?;
+            Ok(service)
+        }
+        None => CollectorService::from_checkpoint(blob),
     }
 }
 
@@ -1281,6 +1289,79 @@ mod tests {
         let mut other = WindowRing::new(&desc, WindowConfig::new(10, 5)).unwrap();
         assert!(matches!(
             other.restore(&blob),
+            Err(LdpError::StateMismatch(_))
+        ));
+    }
+
+    /// Every live window runs on the total's mechanism: windows opened
+    /// one at a time, after a horizon jump, after a rebuild, and after a
+    /// restore.
+    #[test]
+    fn windows_and_total_share_one_mechanism() {
+        let shared = |ring: &WindowRing| {
+            ring.live_windows() > 0 && ring.windows().all(|(_, w)| w.shares_mechanism(&ring.total))
+        };
+        let desc = olhc_descriptor(16);
+        let client = WireClient::from_descriptor(&desc).unwrap();
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut ring = WindowRing::new(&desc, WindowConfig::new(10, 3)).unwrap();
+        ring.ingest_concat(4, &stream(&client, &mut rng, 16, 5))
+            .unwrap();
+        assert!(shared(&ring));
+        ring.advance_to(35).unwrap();
+        assert_eq!(ring.stats().retired_subtract, 1);
+        assert!(shared(&ring));
+        ring.advance_to(1_000).unwrap();
+        assert_eq!(ring.stats().retired_wholesale, 3);
+        assert!(shared(&ring));
+        ring.ingest_concat(1_000, &stream(&client, &mut rng, 16, 5))
+            .unwrap();
+        let revived = WindowRing::from_checkpoint(&ring.checkpoint()).unwrap();
+        assert!(shared(&revived));
+
+        let desc = she_descriptor(8);
+        let client = WireClient::from_descriptor(&desc).unwrap();
+        let mut ring = WindowRing::new(&desc, WindowConfig::new(10, 2)).unwrap();
+        for t in [5u64, 15, 25] {
+            ring.ingest_concat(t, &stream(&client, &mut rng, 8, 3))
+                .unwrap();
+        }
+        assert_eq!(ring.stats().retired_rebuild, 1);
+        assert!(shared(&ring));
+    }
+
+    /// A ring checkpoint whose window was taken under another ε (same
+    /// bucket count, so every length matches) is refused as a state
+    /// mismatch, not restored onto the total's mechanism.
+    #[test]
+    fn ring_checkpoint_refuses_a_window_of_another_descriptor() {
+        let ring_at = |epsilon| {
+            let desc = ProtocolDescriptor::builder(MechanismKind::CohortLocalHashing)
+                .domain_size(16)
+                .epsilon(epsilon)
+                .cohorts(4)
+                .build()
+                .unwrap();
+            let mut ring = WindowRing::new(&desc, WindowConfig::new(10, 2)).unwrap();
+            ring.advance_to(0).unwrap();
+            ring
+        };
+        let (ring, other) = (ring_at(1.0), ring_at(1.1));
+        let window = |ring: &WindowRing| ring.windows().next().unwrap().1.checkpoint();
+        let (ours, theirs) = (window(&ring), window(&other));
+        assert_eq!(ours.len(), theirs.len());
+        assert_ne!(ours, theirs);
+
+        // The lone window is empty like the total, so the first copy of
+        // its blob in the ring checkpoint is the window's entry.
+        let mut forged = ring.checkpoint();
+        let at = forged
+            .windows(ours.len())
+            .position(|w| w == ours.as_slice())
+            .unwrap();
+        forged[at..at + ours.len()].copy_from_slice(&theirs);
+        assert!(matches!(
+            WindowRing::from_checkpoint(&forged),
             Err(LdpError::StateMismatch(_))
         ));
     }

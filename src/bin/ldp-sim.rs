@@ -525,14 +525,46 @@ fn run_windows(args: &Args) -> Result<(), String> {
 
     // Durability: the whole ring round-trips through one BLOB.
     let blob = ring.checkpoint();
-    let revived = WindowRing::from_checkpoint(&blob).map_err(|e| format!("restore: {e}"))?;
+    let mut revived = WindowRing::from_checkpoint(&blob).map_err(|e| format!("restore: {e}"))?;
     if revived.checkpoint() != blob {
         return Err("ring checkpoint did not round-trip bit-exactly".into());
     }
+    // The restored ring answers every query bit for bit as the live one
+    // does, and one more hour ingested into both leaves them equal.
+    let stats = *ring.stats();
+    let items: Vec<u64> = (0..args.domain).collect();
+    let answers = |r: &WindowRing| -> Result<Vec<Vec<u64>>, String> {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+        Ok(vec![
+            bits(r.estimates()),
+            bits(r.decayed_estimates().map_err(|e| format!("decay: {e}"))?),
+            bits(
+                r.estimate_items(&items)
+                    .map_err(|e| format!("items: {e}"))?,
+            ),
+        ])
+    };
+    if answers(&revived)? != answers(&ring)? {
+        return Err("restored ring answers differently from the live ring".into());
+    }
+    let values: Vec<u64> = (0..1000).map(|_| zipf.sample(&mut rng)).collect();
+    frames.clear();
+    client
+        .frames_for_shard(&values, args.seed ^ HOURS as u64, 0, &mut frames)
+        .map_err(|e| format!("frames: {e}"))?;
+    let t = HOURS as u64 * WINDOW_LEN + WINDOW_LEN / 2;
+    for r in [&mut ring, &mut revived] {
+        r.ingest_concat(t, &frames)
+            .map_err(|e| format!("ingest after restore: {e}"))?;
+    }
+    if revived.checkpoint() != ring.checkpoint() {
+        return Err("restored ring diverged from the live ring after one more hour".into());
+    }
     println!(
-        "checkpoint {} KiB round-trips bit-exactly | ring stats: {:?}",
+        "checkpoint {} KiB round-trips bit-exactly; the restored ring answers and ingests \
+         like the live one | ring stats: {:?}",
         blob.len() / 1024,
-        ring.stats(),
+        stats,
     );
     Ok(())
 }
