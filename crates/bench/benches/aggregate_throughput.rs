@@ -1,9 +1,10 @@
 //! Server-side aggregation and estimation cost — accumulate must be O(1)
 //! amortized per report, estimation linear with small constants.
 //!
-//! Besides the criterion groups, this bench records the library's hot
-//! paths at deployment-ish scale in `BENCH_aggregate.json` at the
-//! workspace root, so the perf trajectory is recorded run over run:
+//! A plain `harness = false` main that times the library's hot paths at
+//! deployment-ish scale with its own median loop and records them in
+//! `BENCH_aggregate.json` at the workspace root, so the perf trajectory
+//! is recorded run over run:
 //!
 //! * client-side randomize→accumulate through the fused batch paths,
 //!   sequential: OUE and THE (`oue_batch_randomize_ns`,
@@ -12,20 +13,14 @@
 //! * the whole collect loop: the fused batch path on one worker vs
 //!   fanned out across the parallel engine's actual worker count
 //!   (`thread_scaling`), with the real worker count recorded as
-//!   `threads` and the host's core count as `cores` — on a single-core
-//!   host `thread_scaling` sits at ~1;
+//!   `threads` and the host's core count as `cores`; `thread_scaling` is
+//!   written only when `cores >= 2`, since a one-core host has no
+//!   concurrency to measure;
 //! * the wire layer: the fused in-process OUE collect vs collecting the
 //!   same traffic as bytes through `CollectorService` (frame parse +
 //!   decode + validate + accumulate) — `wire_overhead`, gated < 1.3× in
 //!   CI, with the client-fleet framing cost and end-to-end ratio
 //!   recorded alongside (`wire_client_frame_ns`, `wire_e2e_overhead`);
-//! * the concurrent pipeline: the same pre-framed traffic through the
-//!   bounded-queue collector fleet, thread spawn to shard-order merge
-//!   (`pipeline_ingest_ns`), with the peak queue depth recorded as
-//!   `pipeline_queue_hwm`;
-//! * the durable-snapshot layer: one snapshot→restore cycle of the
-//!   loaded OLH-C aggregator (the C×g count matrix) and its BLOB size
-//!   (`snapshot_roundtrip_ns`, `snapshot_bytes`);
 //! * the unary one-hot channel's two zero-position samplers, recorded in a
 //!   nested `"sampler"` sub-object: ns per `d = 4096` report of words for
 //!   geometric skipping (set bits OR-ed into zeroed words, as the frame
@@ -46,17 +41,20 @@
 //!   (`hcms_cached_decode_ns`, `rappor_sparse_lasso_ns`,
 //!   `she_batched_randomize_ns`).
 //!
+//! The concurrent pipeline, the snapshot layer and the window ring are
+//! timed end to end by `perfbench` (its `pipeline.*`, `snapshot.*`,
+//! `window.*` and `estimate.*` layer metrics), not here.
+//!
 //! Set `LDP_BENCH_SMOKE=1` for a seconds-scale CI smoke configuration,
 //! and `LDP_BENCH_OUT=<path>` to redirect the JSON.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ldp_apple::cms::CmsOracle;
 use ldp_apple::hcms::HcmsProtocol;
 use ldp_apple::sfp::{SfpConfig, SfpDiscovery};
 use ldp_core::fo::batch::{CountingRng, GeometricSkip, OneHotSampler};
 use ldp_core::fo::{
-    CohortLocalHashing, FoAggregator, FrequencyOracle, LocalHashing, OptimizedLocalHashing,
-    OptimizedUnaryEncoding, SummationHistogramEncoding, ThresholdHistogramEncoding,
+    CohortLocalHashing, FoAggregator, FrequencyOracle, LocalHashing, OptimizedUnaryEncoding,
+    SummationHistogramEncoding, ThresholdHistogramEncoding,
 };
 use ldp_core::protocol::{MechanismKind, ProtocolDescriptor};
 use ldp_core::Epsilon;
@@ -67,126 +65,29 @@ use ldp_workloads::frontier;
 use ldp_workloads::parallel::{
     accumulate_mech_sharded_sequential, accumulate_mech_sharded_with_workers, planned_workers,
 };
-use ldp_workloads::pipeline::{
-    split_frames, BackpressurePolicy, CollectorPipeline, PipelineConfig,
-};
 use ldp_workloads::service::{CollectorService, WireClient};
-use ldp_workloads::window::{WindowConfig, WindowRing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
 
-fn bench_aggregate(c: &mut Criterion) {
-    let eps = Epsilon::new(1.0).expect("valid eps");
-    let mut rng = StdRng::seed_from_u64(2);
-    let n = 10_000usize;
-
-    let mut group = c.benchmark_group("server_aggregate");
-    group.sample_size(30);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.throughput(Throughput::Elements(n as u64));
-
-    // OUE: bit-packed accumulate over d=1024.
-    {
-        let oracle = OptimizedUnaryEncoding::new(1024, eps).expect("valid domain");
-        let reports: Vec<_> = (0..n)
-            .map(|i| oracle.randomize((i % 1024) as u64, &mut rng))
-            .collect();
-        group.bench_function("oue_d1024_accumulate_10k", |b| {
-            b.iter(|| {
-                let mut agg = oracle.new_aggregator();
-                for r in &reports {
-                    agg.accumulate(black_box(r));
-                }
-                agg.reports()
-            })
-        });
-    }
-
-    // OLH: accumulate is a push; estimation is the expensive side.
-    {
-        let oracle = OptimizedLocalHashing::new(1 << 20, eps);
-        let reports: Vec<_> = (0..n)
-            .map(|i| oracle.randomize((i % 1000) as u64, &mut rng))
-            .collect();
-        let mut agg = oracle.new_aggregator();
-        for r in &reports {
-            agg.accumulate(r);
-        }
-        let candidates: Vec<u64> = (0..100).collect();
-        group.bench_function("olh_estimate_100_items_over_10k_reports", |b| {
-            b.iter(|| agg.estimate_items(black_box(&candidates)))
-        });
-    }
-
-    // HCMS: accumulate + one FWHT sweep per estimate batch.
-    {
-        let proto = HcmsProtocol::new(64, 1024, Epsilon::new(4.0).expect("valid eps"), 5);
-        let reports: Vec<_> = (0..n)
-            .map(|i| proto.randomize((i % 50) as u64, &mut rng))
-            .collect();
-        group.bench_function("hcms_accumulate_10k", |b| {
-            b.iter(|| {
-                let mut server = proto.new_server();
-                for r in &reports {
-                    server.accumulate(black_box(r));
-                }
-                server.reports()
-            })
-        });
-        let mut server = proto.new_server();
-        for r in &reports {
-            server.accumulate(r);
-        }
-        let items: Vec<u64> = (0..50).collect();
-        group.bench_function("hcms_estimate_50_items", |b| {
-            b.iter(|| server.estimate_items(black_box(&items)))
-        });
-    }
-
-    // RAPPOR: accumulate + LASSO/OLS decode of 100 candidates.
-    {
-        let params = RapporParams::small(8).expect("valid params");
-        let reports: Vec<_> = (0..2000)
-            .map(|i| {
-                let mut client = RapporClient::with_random_cohort(params.clone(), &mut rng);
-                client.report(format!("url-{}", i % 20).as_bytes(), &mut rng)
-            })
-            .collect();
-        let mut agg = RapporAggregator::new(params.clone());
-        for r in &reports {
-            agg.accumulate(r);
-        }
-        let names: Vec<String> = (0..100).map(|i| format!("url-{i}")).collect();
-        let candidates: Vec<&[u8]> = names.iter().map(|s| s.as_bytes()).collect();
-        group.bench_function("rappor_decode_100_candidates", |b| {
-            b.iter(|| agg.decode(black_box(&candidates)))
-        });
-    }
-
-    group.finish();
-}
-
 /// Times `f` with `reps` measured repetitions and returns the median
-/// nanoseconds per run. The criterion `Bencher` keeps its samples
-/// private, and the raw-scan side of the comparison takes ~1 s per run at
-/// full size, so this manual loop is both necessary and adequate.
+/// nanoseconds per run.
 fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(
+        (0..reps.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_nanos() as f64
+            })
+            .collect(),
+    )
 }
 
-/// Median of an already-collected sample vector — companion to
-/// `median_ns` for the paired-measurement loops that time several sides
-/// of one comparison inside the same rep.
+/// Median of an already-collected sample vector, also used directly by
+/// the paired-measurement loops that time several sides of one
+/// comparison inside the same rep.
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
@@ -195,7 +96,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// The recorded trajectory at deployment-ish scale (see the module docs
 /// for every key). Prints each measurement and records them all in
 /// `BENCH_aggregate.json`.
-fn bench_old_vs_new(_c: &mut Criterion) {
+fn main() {
     let smoke = std::env::var("LDP_BENCH_SMOKE").is_ok();
     // Full size matches the acceptance target (n=100k, d=4096); smoke
     // keeps CI in the seconds range while exercising the same code paths.
@@ -290,7 +191,7 @@ fn bench_old_vs_new(_c: &mut Criterion) {
             accumulate_mech_sharded_with_workers(&&oue, &values, 5, shards, threads).reports(),
         );
     });
-    let thread_scaling = batch_collect_1w_ns / par_collect_ns;
+    let thread_scaling = (cores >= 2).then(|| batch_collect_1w_ns / par_collect_ns);
 
     // --- Wire overhead: the same OUE collect as above, fused in-process
     // (`direct_collect_ns`, the direct side) vs collecting the same
@@ -363,96 +264,6 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     let wire_collect_ns = median(ingest_samples);
     let wire_overhead = median(service_ratio_samples);
     let wire_e2e_overhead = median(e2e_ratio_samples);
-
-    // --- Concurrent pipeline: the same pre-framed traffic pushed through
-    // the bounded-queue collector fleet — submit, worker drain, ingest
-    // into per-shard services, shard-order merge at finish. Includes the
-    // pipeline's whole lifecycle (thread spawn to join) so the number is
-    // the honest deployment cost of a collection round. On this host the
-    // value of record is the absolute ingest cost plus the queue
-    // high-water mark; the concurrency win itself is algorithmic (the
-    // shard-order merge is bit-identical at any worker count) and
-    // materializes on multi-core collectors.
-    let pipeline_config = PipelineConfig {
-        shards,
-        workers: threads,
-        queue_depth: 64,
-        policy: BackpressurePolicy::Block,
-    };
-    let pipeline_batches: Vec<(usize, Vec<u8>)> = buffers
-        .iter()
-        .enumerate()
-        .flat_map(|(shard, buf)| {
-            split_frames(buf, 4)
-                .expect("frame split")
-                .into_iter()
-                .map(move |batch| (shard, batch))
-        })
-        .collect();
-    let mut pipeline_queue_hwm = 0usize;
-    let pipeline_ingest_ns = median_ns(collect_reps, || {
-        let pipeline =
-            CollectorPipeline::new(&wire_desc, pipeline_config).expect("pipeline builds");
-        for (shard, batch) in &pipeline_batches {
-            pipeline.submit(*shard, batch.clone()).expect("submit");
-        }
-        let (service, stats) = pipeline.finish().expect("pipeline finish");
-        pipeline_queue_hwm = pipeline_queue_hwm.max(stats.queue_hwm());
-        black_box(service.reports());
-    });
-
-    // --- Durable snapshots: one checkpoint/restore cycle of the loaded
-    // OLH-C aggregator (the C×g cohort count matrix, the biggest state in
-    // the workspace at these parameters), plus the BLOB size — the cost
-    // story for the merge-tree layer, recorded run over run.
-    let snapshot_bytes = ldp_core::snapshot::snapshot_vec(&cohort_agg).len();
-    let snapshot_roundtrip_ns = median_ns(collect_reps, || {
-        let blob = ldp_core::snapshot::snapshot_vec(&cohort_agg);
-        let mut fresh = cohort_oracle.new_aggregator();
-        ldp_core::snapshot::restore_from(&mut fresh, &blob).expect("snapshot restores");
-        black_box(fresh.reports());
-    });
-
-    // --- Sliding window ring: steady-state advance (one collection
-    // round's pre-framed traffic into a fresh bucket, retiring the
-    // expired window from the running total by exact subtraction) and a
-    // full decode of the sliding total. OLH-C, the mechanism the
-    // `ldp-sim --scenario windows` deployment runs on.
-    let win_windows = 8usize;
-    let n_win = n / 10;
-    let win_desc = ProtocolDescriptor::builder(MechanismKind::CohortLocalHashing)
-        .domain_size(d)
-        .epsilon(1.0)
-        .cohorts(64)
-        .build()
-        .expect("valid descriptor");
-    let win_client = WireClient::from_descriptor(&win_desc).expect("client builds");
-    let win_buf = win_client
-        .frames_sharded(&values[..n_win], 13, 1)
-        .expect("framing succeeds")
-        .remove(0);
-    let mut ring =
-        WindowRing::new(&win_desc, WindowConfig::new(1, win_windows)).expect("ring builds");
-    let mut next_bucket = 0u64;
-    for _ in 0..win_windows {
-        ring.ingest_concat(next_bucket, &win_buf)
-            .expect("ring prefill");
-        next_bucket += 1;
-    }
-    let window_advance_ns = median_ns(collect_reps, || {
-        ring.ingest_concat(next_bucket, &win_buf)
-            .expect("ring advances");
-        next_bucket += 1;
-        black_box(ring.reports());
-    });
-    assert_eq!(
-        ring.stats().retired_rebuild,
-        0,
-        "OLH-C retirement must stay on the subtract path"
-    );
-    let window_estimate_ns = median_ns(estimate_reps.max(11), || {
-        black_box(ring.estimates());
-    });
 
     // --- Mechanism planner: full plan latency over the workspace
     // registry, and predicted-vs-measured error ranking agreement over
@@ -680,29 +491,18 @@ fn bench_old_vs_new(_c: &mut Criterion) {
         ms_dbitflip_batch_ns / 1e6
     );
     println!(
-        "oue_collect/batch_1w_n{n}: {:.2} ms, batch_parallel({threads} workers, {cores} cores): {:.2} ms  ({thread_scaling:.2}x from threads)",
+        "oue_collect/batch_1w_n{n}: {:.2} ms, batch_parallel({threads} workers, {cores} cores): {:.2} ms  ({})",
         batch_collect_1w_ns / 1e6,
-        par_collect_ns / 1e6
+        par_collect_ns / 1e6,
+        thread_scaling.map_or("one core: no thread scaling".to_string(), |s| format!(
+            "{s:.2}x from threads"
+        ))
     );
     println!(
         "oue_collect/fused_direct_n{n}: {:.2} ms, bytes_through_service: {:.2} ms  ({wire_overhead:.2}x service-side wire overhead; client framing {:.2} ms, {wire_e2e_overhead:.2}x end-to-end)",
         direct_collect_ns / 1e6,
         wire_collect_ns / 1e6,
         wire_client_frame_ns / 1e6
-    );
-    println!(
-        "oue_collect/pipeline_{threads}w_q64: {:.2} ms (queue hwm {pipeline_queue_hwm} batches)",
-        pipeline_ingest_ns / 1e6
-    );
-    println!(
-        "olhc_snapshot/roundtrip_C{cohorts}_g{}: {:.3} ms, blob {snapshot_bytes} bytes",
-        cohort_oracle.g(),
-        snapshot_roundtrip_ns / 1e6
-    );
-    println!(
-        "window_ring/advance_{n_win}f_w{win_windows}: {:.2} ms (subtractive retirement), estimate: {:.3} ms",
-        window_advance_ns / 1e6,
-        window_estimate_ns / 1e6
     );
     println!(
         "planner/plan_d{d}_budgeted: {:.1} µs, ranking_agreement: {planner_agreed}/{planner_cells} ({:.0}%) over the frontier grid at n={planner_n}",
@@ -733,9 +533,10 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"aggregate_throughput\",\n  \"mode\": \"{}\",\n  \"n\": {n},\n  \"d\": {d},\n  \"g\": {},\n  \"cohorts\": {cohorts},\n  \"shards\": {shards},\n  \"threads\": {threads},\n  \"cores\": {cores},\n  \"oue_batch_randomize_ns\": {oue_batch_randomize_ns:.0},\n  \"the_batch_randomize_ns\": {the_batch_randomize_ns:.0},\n  \"apple_cms_batch_ns\": {apple_cms_batch_ns:.0},\n  \"ms_dbitflip_batch_ns\": {ms_dbitflip_batch_ns:.0},\n  \"batch_collect_1w_ns\": {batch_collect_1w_ns:.0},\n  \"par_collect_ns\": {par_collect_ns:.0},\n  \"thread_scaling\": {thread_scaling:.2},\n  \"direct_collect_ns\": {direct_collect_ns:.0},\n  \"wire_collect_ns\": {wire_collect_ns:.0},\n  \"wire_client_frame_ns\": {wire_client_frame_ns:.0},\n  \"wire_overhead\": {wire_overhead:.3},\n  \"wire_e2e_overhead\": {wire_e2e_overhead:.3},\n  \"pipeline_ingest_ns\": {pipeline_ingest_ns:.0},\n  \"pipeline_queue_hwm\": {pipeline_queue_hwm},\n  \"snapshot_roundtrip_ns\": {snapshot_roundtrip_ns:.0},\n  \"snapshot_bytes\": {snapshot_bytes},\n  \"window_advance_ns\": {window_advance_ns:.0},\n  \"window_estimate_ns\": {window_estimate_ns:.0},\n  \"planner\": {{\n    \"plan_ns\": {planner_plan_ns:.0},\n    \"cells\": {planner_cells},\n    \"ranking_agreement\": {planner_agreement:.3}\n  }},\n  \"sampler\": {sampler_json},\n  \"decode\": {{\n    \"raw_full_estimate_ns\": {raw_estimate_ns:.0},\n    \"cohort_full_estimate_ns\": {cohort_estimate_ns:.0},\n    \"olh_estimate_speedup\": {olh_estimate_speedup:.2},\n    \"fwht_m\": {fwht_m},\n    \"fwht_reference_ns\": {fwht_reference_ns:.0},\n    \"fwht_tiled_ns\": {fwht_tiled_ns:.0},\n    \"fwht_tiled_speedup\": {fwht_tiled_speedup:.2},\n    \"hcms_cached_decode_ns\": {hcms_cached_decode_ns:.0},\n    \"sfp_exhaustive_decode_ns\": {sfp_exhaustive_decode_ns:.0},\n    \"sfp_candidate_decode_ns\": {sfp_candidate_decode_ns:.0},\n    \"sfp_decode_speedup\": {sfp_decode_speedup:.2},\n    \"rappor_sparse_lasso_ns\": {rappor_sparse_lasso_ns:.0},\n    \"she_batched_randomize_ns\": {she_batched_randomize_ns:.0}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"aggregate_throughput\",\n  \"mode\": \"{}\",\n  \"n\": {n},\n  \"d\": {d},\n  \"g\": {},\n  \"cohorts\": {cohorts},\n  \"shards\": {shards},\n  \"threads\": {threads},\n  \"cores\": {cores},\n  \"oue_batch_randomize_ns\": {oue_batch_randomize_ns:.0},\n  \"the_batch_randomize_ns\": {the_batch_randomize_ns:.0},\n  \"apple_cms_batch_ns\": {apple_cms_batch_ns:.0},\n  \"ms_dbitflip_batch_ns\": {ms_dbitflip_batch_ns:.0},\n  \"batch_collect_1w_ns\": {batch_collect_1w_ns:.0},\n  \"par_collect_ns\": {par_collect_ns:.0},{}\n  \"direct_collect_ns\": {direct_collect_ns:.0},\n  \"wire_collect_ns\": {wire_collect_ns:.0},\n  \"wire_client_frame_ns\": {wire_client_frame_ns:.0},\n  \"wire_overhead\": {wire_overhead:.3},\n  \"wire_e2e_overhead\": {wire_e2e_overhead:.3},\n  \"planner\": {{\n    \"plan_ns\": {planner_plan_ns:.0},\n    \"cells\": {planner_cells},\n    \"ranking_agreement\": {planner_agreement:.3}\n  }},\n  \"sampler\": {sampler_json},\n  \"decode\": {{\n    \"raw_full_estimate_ns\": {raw_estimate_ns:.0},\n    \"cohort_full_estimate_ns\": {cohort_estimate_ns:.0},\n    \"olh_estimate_speedup\": {olh_estimate_speedup:.2},\n    \"fwht_m\": {fwht_m},\n    \"fwht_reference_ns\": {fwht_reference_ns:.0},\n    \"fwht_tiled_ns\": {fwht_tiled_ns:.0},\n    \"fwht_tiled_speedup\": {fwht_tiled_speedup:.2},\n    \"hcms_cached_decode_ns\": {hcms_cached_decode_ns:.0},\n    \"sfp_exhaustive_decode_ns\": {sfp_exhaustive_decode_ns:.0},\n    \"sfp_candidate_decode_ns\": {sfp_candidate_decode_ns:.0},\n    \"sfp_decode_speedup\": {sfp_decode_speedup:.2},\n    \"rappor_sparse_lasso_ns\": {rappor_sparse_lasso_ns:.0},\n    \"she_batched_randomize_ns\": {she_batched_randomize_ns:.0}\n  }}\n}}\n",
         if smoke { "smoke" } else { "full" },
         cohort_oracle.g(),
+        thread_scaling.map_or(String::new(), |s| format!("\n  \"thread_scaling\": {s:.2},")),
     );
     let out = std::env::var("LDP_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_aggregate.json").to_string()
@@ -743,6 +544,3 @@ fn bench_old_vs_new(_c: &mut Criterion) {
     std::fs::write(&out, json).expect("write BENCH_aggregate.json");
     println!("wrote {out}");
 }
-
-criterion_group!(benches, bench_aggregate, bench_old_vs_new);
-criterion_main!(benches);

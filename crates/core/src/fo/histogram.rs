@@ -37,6 +37,14 @@ use rand::RngCore;
 
 /// Summation with histogram encoding: report a one-hot vector plus
 /// per-coordinate `Lap(2/ε)` noise.
+///
+/// **Floating-point caveat.** The noise is f64 Laplace from
+/// [`fill_laplace`] (inverse CDF through a polynomial `ln`). Textbook
+/// floating-point Laplace can leak the input through the low-order bits
+/// of its output (Mironov, "On Significance of the Least Significant Bits
+/// for Differential Privacy", CCS 2012). SHE is not audited for this: its
+/// ε holds for the real-valued mechanism. Fixing it (snapping or discrete
+/// Laplace) would be a new mechanism, not a change to this one.
 #[derive(Debug, Clone, Copy)]
 pub struct SummationHistogramEncoding {
     d: u64,

@@ -66,7 +66,10 @@ pub enum MechanismKind {
     SymmetricUnary,
     /// Optimized unary encoding (OUE).
     OptimizedUnary,
-    /// Summation with histogram encoding (SHE).
+    /// Summation with histogram encoding (SHE). It ships f64 Laplace
+    /// noise, which can leak through its low-order bits (Mironov, CCS
+    /// 2012); SHE is not audited for this, and a fix would be a new
+    /// mechanism. See [`SummationHistogramEncoding`].
     SummationHistogram,
     /// Thresholding with histogram encoding (THE).
     ThresholdHistogram,

@@ -1,5 +1,5 @@
 //! Workspace-wiring smoke tests: the manifests must keep every
-//! experiment binary, criterion bench, and example both *present on
+//! experiment binary, bench, and example both *present on
 //! disk* and *declared/discoverable* so `cargo build --workspace
 //! --all-targets` (run in CI) compiles all of them. A deleted or
 //! renamed target file fails here immediately instead of silently
@@ -69,17 +69,15 @@ fn every_experiment_binary_is_present() {
 }
 
 #[test]
-fn every_criterion_bench_is_present_and_declared() {
+fn every_bench_is_present_and_declared() {
     let root = repo_root();
     let found = rust_file_stems(&root.join("crates/bench/benches"));
-    let expected: BTreeSet<String> = ["aggregate_throughput", "encode_throughput", "substrate_ops"]
-        .map(String::from)
-        .into();
+    let expected: BTreeSet<String> = ["aggregate_throughput"].map(String::from).into();
     assert_eq!(found, expected, "bench files drifted");
 
-    // Criterion benches only build if the manifest declares them with
-    // `harness = false`; discovery alone would wire in the default
-    // libtest harness and fail on `criterion_main!`.
+    // A bench with its own `fn main` only builds if the manifest declares
+    // it with `harness = false`; discovery alone would wire in the
+    // default libtest harness and run no code of the bench.
     let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml"))
         .expect("read crates/bench/Cargo.toml");
     for name in &expected {
@@ -144,7 +142,6 @@ fn workspace_manifest_declares_all_members() {
         "crates/bench",
         "vendor/rand",
         "vendor/proptest",
-        "vendor/criterion",
     ] {
         // A member builds a library or, like crates/bench, only binaries.
         let dir = repo_root().join(member);
