@@ -540,20 +540,9 @@ impl FrequencyOracle for CmsOracle {
         self.protocol.epsilon
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> CmsReport {
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> CmsReport {
         assert!(value < self.domain, "value {value} outside domain");
         self.protocol.randomize(value, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&CmsReport),
-    {
-        for &v in values {
-            assert!(v < self.domain, "value {v} outside domain");
-            sink(&self.protocol.randomize(v, rng));
-        }
     }
 
     /// Fused batch path: each report lands as `O(1 + m·q)` counter

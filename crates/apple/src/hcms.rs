@@ -313,10 +313,9 @@ impl CounterState for HcmsServer {
 /// the one-bit sketch as a [`FrequencyOracle`] so the sharded parallel
 /// engine (`ldp_workloads::parallel`) can drive it like any other oracle.
 ///
-/// The batch path has nothing to fuse away allocation-wise — an
-/// [`HcmsReport`] is three machine words — so its win is purely the
-/// monomorphized RNG draws (`R: RngCore` instead of `dyn RngCore` per
-/// draw), shared sampling core with the scalar path by construction.
+/// The batch paths have nothing to fuse away allocation-wise — an
+/// [`HcmsReport`] is three machine words — so they are the scalar
+/// `randomize` loop, and share its RNG stream by construction.
 #[derive(Debug, Clone)]
 pub struct HcmsOracle {
     protocol: HcmsProtocol,
@@ -434,20 +433,9 @@ impl FrequencyOracle for HcmsOracle {
         self.protocol.epsilon
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> HcmsReport {
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> HcmsReport {
         assert!(value < self.domain, "value {value} outside domain");
         self.protocol.randomize(value, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&HcmsReport),
-    {
-        for &v in values {
-            assert!(v < self.domain, "value {v} outside domain");
-            sink(&self.protocol.randomize(v, rng));
-        }
     }
 
     fn randomize_accumulate_batch<R: RngCore>(

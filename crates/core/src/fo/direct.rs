@@ -58,20 +58,8 @@ impl FrequencyOracle for DirectEncoding {
         self.inner.epsilon()
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> u64 {
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> u64 {
         self.inner.randomize(value, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&u64),
-    {
-        // Monomorphized k-ary RR: the two uniform draws per report inline
-        // instead of going through the `dyn RngCore` vtable.
-        for &v in values {
-            sink(&self.inner.randomize(v, rng));
-        }
     }
 
     /// Fused batch path: perturbed values land straight in the histogram.

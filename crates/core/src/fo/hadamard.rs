@@ -61,25 +61,6 @@ impl HadamardResponse {
     pub fn spectrum_size(&self) -> u64 {
         self.m
     }
-
-    /// Shared sampling core for the scalar and batch paths: one uniform
-    /// row draw plus one Bernoulli flip draw per report.
-    #[inline]
-    fn randomize_impl<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> HrReport {
-        assert!(
-            value < self.d,
-            "value {value} outside domain of size {}",
-            self.d
-        );
-        let index = rng.gen_range(0..self.m);
-        let true_sign = hadamard_entry(index, value);
-        let sign = if rng.gen_bool(self.p_truth) {
-            true_sign
-        } else {
-            -true_sign
-        };
-        HrReport { index, sign }
-    }
 }
 
 impl FrequencyOracle for HadamardResponse {
@@ -98,18 +79,22 @@ impl FrequencyOracle for HadamardResponse {
         self.epsilon
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> HrReport {
-        self.randomize_impl(value, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&HrReport),
-    {
-        for &v in values {
-            sink(&self.randomize_impl(v, rng));
-        }
+    /// One uniform row draw plus one Bernoulli flip draw per report.
+    #[inline]
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> HrReport {
+        assert!(
+            value < self.d,
+            "value {value} outside domain of size {}",
+            self.d
+        );
+        let index = rng.gen_range(0..self.m);
+        let true_sign = hadamard_entry(index, value);
+        let sign = if rng.gen_bool(self.p_truth) {
+            true_sign
+        } else {
+            -true_sign
+        };
+        HrReport { index, sign }
     }
 
     /// Fused batch path: sign and row count fold directly into the
@@ -126,7 +111,7 @@ impl FrequencyOracle for HadamardResponse {
             "aggregator spectrum mismatch"
         );
         for &v in values {
-            let r = self.randomize_impl(v, rng);
+            let r = self.randomize(v, rng);
             agg.sign_sums[r.index as usize] += r.sign as i64;
             agg.row_counts[r.index as usize] += 1;
             agg.n += 1;

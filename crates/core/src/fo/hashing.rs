@@ -88,24 +88,6 @@ impl LocalHashing {
     pub fn support_probabilities(&self) -> (f64, f64) {
         (self.rr.p(), 1.0 / self.g as f64)
     }
-
-    /// Shared sampling core for the scalar and batch paths: seed draw,
-    /// hash, k-ary RR — at most three uniform draws per report.
-    #[inline]
-    fn randomize_impl<R: Rng + ?Sized>(&self, value: u64, rng: &mut R) -> LhReport {
-        assert!(
-            value < self.d,
-            "value {value} outside domain of size {}",
-            self.d
-        );
-        let seed: u64 = rng.gen();
-        let bucket = self.family.hash(value, seed);
-        let perturbed = self.rr.randomize(bucket, rng);
-        LhReport {
-            seed,
-            bucket: perturbed,
-        }
-    }
 }
 
 impl FrequencyOracle for LocalHashing {
@@ -128,17 +110,21 @@ impl FrequencyOracle for LocalHashing {
         self.epsilon
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> LhReport {
-        self.randomize_impl(value, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&LhReport),
-    {
-        for &v in values {
-            sink(&self.randomize_impl(v, rng));
+    /// Seed draw, hash, k-ary RR: at most three uniform draws per
+    /// report.
+    #[inline]
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> LhReport {
+        assert!(
+            value < self.d,
+            "value {value} outside domain of size {}",
+            self.d
+        );
+        let seed: u64 = rng.gen();
+        let bucket = self.family.hash(value, seed);
+        let perturbed = self.rr.randomize(bucket, rng);
+        LhReport {
+            seed,
+            bucket: perturbed,
         }
     }
 
@@ -155,7 +141,7 @@ impl FrequencyOracle for LocalHashing {
         assert_eq!(agg.d, self.d, "aggregator domain mismatch");
         agg.reports.reserve(values.len());
         for &v in values {
-            agg.reports.push(self.randomize_impl(v, rng));
+            agg.reports.push(self.randomize(v, rng));
         }
     }
 
@@ -234,16 +220,8 @@ macro_rules! delegate_oracle {
                 self.0.epsilon()
             }
 
-            fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> LhReport {
+            fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> LhReport {
                 self.0.randomize(value, rng)
-            }
-
-            fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, sink: F)
-            where
-                R: RngCore,
-                F: FnMut(&LhReport),
-            {
-                self.0.randomize_batch(values, rng, sink)
             }
 
             fn randomize_accumulate_batch<R: RngCore>(
@@ -543,24 +521,6 @@ impl CohortLocalHashing {
     pub fn support_probabilities(&self) -> (f64, f64) {
         (self.rr.p(), 1.0 / self.g as f64)
     }
-
-    /// Shared sampling core for the scalar and batch paths: cohort draw,
-    /// hash against the cohort's public seed, k-ary RR.
-    #[inline]
-    fn randomize_impl<R: Rng + ?Sized>(&self, value: u64, rng: &mut R) -> CohortLhReport {
-        assert!(
-            value < self.d,
-            "value {value} outside domain of size {}",
-            self.d
-        );
-        let cohort = rng.gen_range(0..self.cohorts);
-        let bucket = self.family.hash(value, cohort_seed(self.seed_base, cohort));
-        let perturbed = self.rr.randomize(bucket, rng);
-        CohortLhReport {
-            cohort,
-            bucket: perturbed as u32,
-        }
-    }
 }
 
 impl FrequencyOracle for CohortLocalHashing {
@@ -579,17 +539,20 @@ impl FrequencyOracle for CohortLocalHashing {
         self.epsilon
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> CohortLhReport {
-        self.randomize_impl(value, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&CohortLhReport),
-    {
-        for &v in values {
-            sink(&self.randomize_impl(v, rng));
+    /// Cohort draw, hash against the cohort's public seed, k-ary RR.
+    #[inline]
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> CohortLhReport {
+        assert!(
+            value < self.d,
+            "value {value} outside domain of size {}",
+            self.d
+        );
+        let cohort = rng.gen_range(0..self.cohorts);
+        let bucket = self.family.hash(value, cohort_seed(self.seed_base, cohort));
+        let perturbed = self.rr.randomize(bucket, rng);
+        CohortLhReport {
+            cohort,
+            bucket: perturbed as u32,
         }
     }
 
@@ -611,7 +574,7 @@ impl FrequencyOracle for CohortLocalHashing {
         );
         let g = self.g as usize;
         for &v in values {
-            let r = self.randomize_impl(v, rng);
+            let r = self.randomize(v, rng);
             agg.counts[r.cohort as usize * g + r.bucket as usize] += 1;
             agg.n += 1;
         }

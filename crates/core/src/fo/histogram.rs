@@ -74,23 +74,6 @@ impl SummationHistogramEncoding {
     pub fn noise_scale(&self) -> f64 {
         self.scale
     }
-
-    /// Shared sampling core for the scalar and batch paths: one batched
-    /// Laplace block ([`fill_laplace`] — uniform block then branchless
-    /// transform) plus the one-hot bump. Every SHE randomize path runs
-    /// through this same kernel, so scalar, batch, and fused streams
-    /// stay bit-identical for a given seed.
-    fn randomize_impl<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> Vec<f64> {
-        assert!(
-            value < self.d,
-            "value {value} outside domain of size {}",
-            self.d
-        );
-        let mut out = vec![0.0; self.d as usize];
-        fill_laplace(self.scale, rng, &mut out);
-        out[value as usize] += 1.0;
-        out
-    }
 }
 
 impl FrequencyOracle for SummationHistogramEncoding {
@@ -109,18 +92,20 @@ impl FrequencyOracle for SummationHistogramEncoding {
         self.epsilon
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> Vec<f64> {
-        self.randomize_impl(value, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&Vec<f64>),
-    {
-        for &v in values {
-            sink(&self.randomize_impl(v, rng));
-        }
+    /// One batched Laplace block ([`fill_laplace`]: uniform block then
+    /// branchless transform) plus the one-hot bump. The fused path runs
+    /// the same kernel, so scalar, batch, and fused streams stay
+    /// bit-identical for a given seed.
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> Vec<f64> {
+        assert!(
+            value < self.d,
+            "value {value} outside domain of size {}",
+            self.d
+        );
+        let mut out = vec![0.0; self.d as usize];
+        fill_laplace(self.scale, rng, &mut out);
+        out[value as usize] += 1.0;
+        out
     }
 
     /// Fused batch path: one scratch block reused across reports — each
@@ -392,7 +377,7 @@ impl FrequencyOracle for ThresholdHistogramEncoding {
         self.epsilon
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> BitVec {
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> BitVec {
         self.chan.randomize(value, rng)
     }
 

@@ -129,31 +129,29 @@ pub trait FrequencyOracle {
 
     /// Client side: privatize `value ∈ [0, d)`.
     ///
+    /// The RNG is generic, so one body serves every caller: the batch
+    /// paths monomorphize their per-draw calls, and the erased wire
+    /// layer passes `&mut dyn RngCore` as `R`. Either way, a given RNG
+    /// state yields the same draws and therefore the same report.
+    ///
     /// # Panics
     /// Implementations panic if `value >= domain_size()`.
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> Self::Report;
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> Self::Report;
 
     /// Batch client side: privatizes every value in `values`, handing each
     /// report to `sink` **by reference**, in input order.
     ///
-    /// Unlike [`randomize`](Self::randomize), the RNG is a generic
-    /// `R: RngCore` — per-draw calls monomorphize instead of going through
-    /// a `dyn RngCore` vtable, which matters when a report costs thousands
-    /// of draws. The default implementation is the scalar loop; oracle
-    /// overrides share their sampling core with `randomize` so that, for a
-    /// given seed, the batch path consumes **exactly** the same RNG stream
-    /// as the scalar loop (the bit-identity contract the proptests in
-    /// `crates/core/tests/batch_oracles.rs` enforce).
-    ///
-    /// The borrow lasts only for the `sink` call, so the unary family
-    /// reuses one `BitVec` for the whole batch; a sink that needs
-    /// ownership clones.
+    /// The default is the [`randomize`](Self::randomize) loop. An
+    /// override must consume **exactly** the same RNG stream as that
+    /// loop for a given seed (the bit-identity contract the proptests in
+    /// `crates/core/tests/batch_oracles.rs` enforce); the unary family
+    /// overrides it to reuse one `BitVec` for the whole batch, which the
+    /// by-reference borrow allows. A sink that needs ownership clones.
     ///
     /// # Panics
     /// Panics if any value is `>= domain_size()`.
     fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
     where
-        Self: Sized,
         R: RngCore,
         F: FnMut(&Self::Report),
     {
@@ -177,11 +175,12 @@ pub trait FrequencyOracle {
     /// # Panics
     /// Panics if any value is `>= domain_size()` or `agg` was configured
     /// for a different oracle instance.
-    fn randomize_accumulate_batch<R>(&self, values: &[u64], rng: &mut R, agg: &mut Self::Aggregator)
-    where
-        Self: Sized,
-        R: RngCore,
-    {
+    fn randomize_accumulate_batch<R: RngCore>(
+        &self,
+        values: &[u64],
+        rng: &mut R,
+        agg: &mut Self::Aggregator,
+    ) {
         self.randomize_batch(values, rng, |r| agg.accumulate(r));
     }
 

@@ -74,9 +74,25 @@ impl SubsetSelection {
         let q = p * (k - 1.0) / (d - 1.0) + (1.0 - p) * k / (d - 1.0);
         (p, q)
     }
+}
 
-    /// Shared sampling core for the scalar and batch paths.
-    fn randomize_impl<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> Vec<u64> {
+impl FrequencyOracle for SubsetSelection {
+    type Report = Vec<u64>;
+    type Aggregator = SsAggregator;
+
+    fn name(&self) -> &'static str {
+        "SS"
+    }
+
+    fn domain_size(&self) -> u64 {
+        self.d
+    }
+
+    fn epsilon(&self) -> Epsilon {
+        self.epsilon
+    }
+
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> Vec<u64> {
         assert!(
             value < self.d,
             "value {value} outside domain of size {}",
@@ -102,37 +118,6 @@ impl SubsetSelection {
         }
         subset.sort_unstable();
         subset
-    }
-}
-
-impl FrequencyOracle for SubsetSelection {
-    type Report = Vec<u64>;
-    type Aggregator = SsAggregator;
-
-    fn name(&self) -> &'static str {
-        "SS"
-    }
-
-    fn domain_size(&self) -> u64 {
-        self.d
-    }
-
-    fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> Vec<u64> {
-        self.randomize_impl(value, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&Vec<u64>),
-    {
-        for &v in values {
-            sink(&self.randomize_impl(v, rng));
-        }
     }
 
     /// Fused batch path: the sampled items increment the inclusion

@@ -128,7 +128,7 @@ macro_rules! impl_unary_oracle {
                 self.epsilon
             }
 
-            fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> BitVec {
+            fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> BitVec {
                 self.chan.randomize(value, rng)
             }
 

@@ -695,22 +695,28 @@ pub type ReportOf<M> = <<M as BatchMechanism>::Aggregator as FoAggregator>::Repo
 pub trait WireMechanism: BatchMechanism {
     /// Validates `input` and privatizes it through the scalar path.
     ///
+    /// The RNG is generic: the batch paths monomorphize it, and the
+    /// erased scalar path ([`ErasedMechanism::randomize_item`]) passes
+    /// `&mut dyn RngCore` as `R`, drawing the same stream either way.
+    ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] (or a kindred variant) when the
     /// input is outside the mechanism's domain — never a panic.
-    fn try_randomize_input(
+    fn try_randomize_input<R: RngCore + ?Sized>(
         &self,
         input: &Self::Input,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
     ) -> Result<ReportOf<Self>>;
 
-    /// Validates a whole input batch, then privatizes it with a
-    /// **monomorphized** RNG — the client-side mirror of
-    /// [`BatchMechanism::accumulate_batch`], consuming the identical RNG
-    /// stream, so reports produced here fold into the same aggregator
-    /// state the fused path would have produced. The default loops the
-    /// scalar path; oracle bridges override with the oracle's own batch
-    /// sampler.
+    /// Validates a whole input batch, then privatizes it — the
+    /// client-side mirror of [`BatchMechanism::accumulate_batch`],
+    /// consuming the identical RNG stream, so reports produced here fold
+    /// into the same aggregator state the fused path would have
+    /// produced. The default loops
+    /// [`try_randomize_input`](Self::try_randomize_input), monomorphized
+    /// over `R`; oracle bridges override it to validate the whole batch
+    /// before any draw and then ride the oracle's own
+    /// [`FrequencyOracle::randomize_batch`].
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] naming the first invalid input.
@@ -853,19 +859,29 @@ impl<O: FrequencyOracle> BatchMechanism for OracleMechanism<O> {
     }
 }
 
+/// Returns the first input outside `[0, d)` as an error, without
+/// consuming any RNG — the item bridges validate before they draw.
+fn check_domain(d: u64, inputs: &[u64]) -> Result<()> {
+    match inputs.iter().find(|&&v| v >= d) {
+        Some(bad) => Err(LdpError::InvalidParameter(format!(
+            "input {bad} outside domain of size {d}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 impl<O: FrequencyOracle> WireMechanism for OracleMechanism<O> {
-    fn try_randomize_input(&self, input: &u64, rng: &mut dyn RngCore) -> Result<O::Report> {
-        if *input >= self.0.domain_size() {
-            return Err(LdpError::InvalidParameter(format!(
-                "input {input} outside domain of size {}",
-                self.0.domain_size()
-            )));
-        }
+    fn try_randomize_input<R: RngCore + ?Sized>(
+        &self,
+        input: &u64,
+        rng: &mut R,
+    ) -> Result<O::Report> {
+        check_domain(self.0.domain_size(), std::slice::from_ref(input))?;
         Ok(self.0.randomize(*input, rng))
     }
 
     /// Validates the whole batch up front (cheap range checks, no RNG
-    /// consumed on error), then rides the oracle's monomorphized
+    /// consumed on error), then rides the oracle's
     /// [`FrequencyOracle::randomize_batch`] — the same sampler, and
     /// therefore the same RNG stream, as the fused engine path, but with
     /// the oracle free to reuse one report buffer across the batch
@@ -876,12 +892,7 @@ impl<O: FrequencyOracle> WireMechanism for OracleMechanism<O> {
         rng: &mut R,
         sink: impl FnMut(&O::Report),
     ) -> Result<()> {
-        let d = self.0.domain_size();
-        if let Some(&bad) = inputs.iter().find(|&&v| v >= d) {
-            return Err(LdpError::InvalidParameter(format!(
-                "input {bad} outside domain of size {d}"
-            )));
-        }
+        check_domain(self.0.domain_size(), inputs)?;
         self.0.randomize_batch(inputs, rng, sink);
         Ok(())
     }
@@ -918,28 +929,9 @@ impl<O: SetBitSampler> BatchMechanism for FusedUnaryMechanism<O> {
     }
 }
 
-impl<O: SetBitSampler> FusedUnaryMechanism<O> {
-    /// Returns the first out-of-domain input as an error, without
-    /// consuming any RNG — both batch paths validate up front.
-    fn check_domain(&self, inputs: &[u64]) -> Result<()> {
-        let d = self.0.domain_size();
-        if let Some(&bad) = inputs.iter().find(|&&v| v >= d) {
-            return Err(LdpError::InvalidParameter(format!(
-                "input {bad} outside domain of size {d}"
-            )));
-        }
-        Ok(())
-    }
-}
-
 impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
-    fn try_randomize_input(&self, input: &u64, rng: &mut dyn RngCore) -> Result<BitVec> {
-        if *input >= self.0.domain_size() {
-            return Err(LdpError::InvalidParameter(format!(
-                "input {input} outside domain of size {}",
-                self.0.domain_size()
-            )));
-        }
+    fn try_randomize_input<R: RngCore + ?Sized>(&self, input: &u64, rng: &mut R) -> Result<BitVec> {
+        check_domain(self.0.domain_size(), std::slice::from_ref(input))?;
         Ok(self.0.randomize(*input, rng))
     }
 
@@ -949,7 +941,7 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
         rng: &mut R,
         sink: impl FnMut(&BitVec),
     ) -> Result<()> {
-        self.check_domain(inputs)?;
+        check_domain(self.0.domain_size(), inputs)?;
         self.0.randomize_batch(inputs, rng, sink);
         Ok(())
     }
@@ -960,7 +952,7 @@ impl<O: SetBitSampler> WireMechanism for FusedUnaryMechanism<O> {
         rng: &mut R,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        self.check_domain(inputs)?;
+        check_domain(self.0.domain_size(), inputs)?;
         let d = self.0.domain_size() as usize;
         let nbytes = d.div_ceil(8);
         // Every frame of the batch shares this prefix: the payload is
@@ -1095,7 +1087,11 @@ impl BatchMechanism for CohortLhMechanism {
 }
 
 impl WireMechanism for CohortLhMechanism {
-    fn try_randomize_input(&self, input: &u64, rng: &mut dyn RngCore) -> Result<CohortLhReport> {
+    fn try_randomize_input<R: RngCore + ?Sized>(
+        &self,
+        input: &u64,
+        rng: &mut R,
+    ) -> Result<CohortLhReport> {
         OracleMechanism(self.0).try_randomize_input(input, rng)
     }
 

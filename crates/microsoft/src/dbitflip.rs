@@ -226,24 +226,13 @@ impl FrequencyOracle for DBitFlip {
         self.epsilon
     }
 
-    fn randomize(&self, value: u64, rng: &mut dyn RngCore) -> DBitReport {
+    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> DBitReport {
         assert!(
             value < self.k as u64,
             "bucket {value} out of range {}",
             self.k
         );
         DBitFlip::randomize(self, value as u32, rng)
-    }
-
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, mut sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&DBitReport),
-    {
-        for &v in values {
-            assert!(v < self.k as u64, "bucket {v} out of range {}", self.k);
-            sink(&DBitFlip::randomize(self, v as u32, rng));
-        }
     }
 
     /// Fused batch path: reuses one bucket/pool/flip scratch for the

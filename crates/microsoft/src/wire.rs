@@ -79,7 +79,7 @@ impl WireReport for DBitReport {
 /// (`accumulate_batch` is the same `gen_bool` per input), so the byte
 /// path is trivially RNG-stream-identical to the fused engine.
 impl WireMechanism for OneBitMean {
-    fn try_randomize_input(&self, input: &f64, rng: &mut dyn RngCore) -> Result<bool> {
+    fn try_randomize_input<R: RngCore + ?Sized>(&self, input: &f64, rng: &mut R) -> Result<bool> {
         if !(0.0..=self.max_value()).contains(input) {
             return Err(LdpError::InvalidParameter(format!(
                 "1BitMean input {input} outside [0, {}]",

@@ -6,9 +6,9 @@
 //!
 //! * **Google RAPPOR** encodes strings into [Bloom filters](bloom) before
 //!   perturbation, and decodes aggregated filters with [regression](linalg).
-//! * **Apple's implementation** sketches a massive domain into a
-//!   [Count-Mean Sketch](cms) and spreads signal with the
-//!   [Walsh–Hadamard transform](hadamard).
+//! * **Apple's implementation** [hashes](hash) a massive domain into a
+//!   Count-Mean Sketch (its integer server lives in `ldp-apple`) and
+//!   spreads signal with the [Walsh–Hadamard transform](hadamard).
 //! * **Frequency oracles** (OLH/BLH) need cheap [universal hashing](hash).
 //!
 //! This crate provides those substrates as standalone, dependency-light,
@@ -24,14 +24,12 @@
 
 pub mod bitvec;
 pub mod bloom;
-pub mod cms;
 pub mod hadamard;
 pub mod hash;
 pub mod linalg;
 
 pub use bitvec::BitVec;
 pub use bloom::BloomFilter;
-pub use cms::{CountMeanSketch, CountMinSketch, CountSketch};
 pub use hadamard::{
     fwht, fwht_normalized, fwht_reference, hadamard_entry, try_fwht, FwhtSizeError,
 };

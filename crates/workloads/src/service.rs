@@ -202,28 +202,8 @@ impl WireClient {
         base_seed: u64,
         shards: usize,
     ) -> Result<Vec<Vec<u8>>> {
-        if shards == 0 {
-            return Err(LdpError::InvalidParameter("need at least one shard".into()));
-        }
-        let shards = shards.min(values.len().max(1));
-        let bounds = crate::parallel::shard_bounds(values.len(), shards);
-        let mut buffers = Vec::with_capacity(shards);
-        // Frames of one mechanism are near-constant-width, so the first
-        // shard's measured bytes/frame sizes the remaining buffers up
-        // front instead of growing them through doubling copies.
-        let mut frame_hint = 0usize;
-        for (i, (lo, hi)) in bounds.into_iter().enumerate() {
-            let mut buf = Vec::with_capacity(frame_hint * (hi - lo));
-            self.mech.randomize_items_to_frames(
-                &values[lo..hi],
-                shard_seed(base_seed, i),
-                &mut buf,
-            )?;
-            if i == 0 && hi > lo {
-                frame_hint = buf.len().div_ceil(hi - lo);
-            }
-            buffers.push(buf);
-        }
+        let mut buffers = Vec::new();
+        self.frames_sharded_into(values, base_seed, shards, &mut buffers)?;
         Ok(buffers)
     }
 
@@ -255,12 +235,19 @@ impl WireClient {
         for buf in buffers.iter_mut() {
             buf.clear();
         }
+        // Frames of one mechanism are near-constant-width, so the first
+        // shard's measured bytes/frame sizes the remaining buffers up
+        // front instead of growing them through doubling copies (a no-op
+        // on a reused buffer that already has the room).
+        let mut frame_hint = 0usize;
         for (i, (lo, hi)) in bounds.into_iter().enumerate() {
-            self.mech.randomize_items_to_frames(
-                &values[lo..hi],
-                shard_seed(base_seed, i),
-                &mut buffers[i],
-            )?;
+            let buf = &mut buffers[i];
+            buf.reserve(frame_hint * (hi - lo));
+            self.mech
+                .randomize_items_to_frames(&values[lo..hi], shard_seed(base_seed, i), buf)?;
+            if i == 0 && hi > lo {
+                frame_hint = buf.len().div_ceil(hi - lo);
+            }
         }
         Ok(())
     }

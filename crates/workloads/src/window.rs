@@ -263,29 +263,20 @@ impl WindowRing {
     /// that window (plus empty windows for any skipped buckets) and
     /// retires whatever falls off the horizon. The frame is validated
     /// before event time moves, so a frame the ring refuses opens and
-    /// retires nothing. The frame is decoded once and folds into its
-    /// window and the running total together.
+    /// retires nothing. Once `frame` is checked to be exactly one frame,
+    /// this is [`ingest_concat`](Self::ingest_concat) on it.
     ///
     /// # Errors
     /// The frame validation errors [`CollectorService::ingest`] raises;
     /// the retirement errors described on [`advance_to`](Self::advance_to).
     /// A frame that errors leaves the ring unchanged.
     pub fn ingest(&mut self, timestamp: u64, frame: &[u8]) -> Result<bool> {
-        let bucket = self.bucket_of(timestamp);
-        if self.is_late(bucket) {
+        if self.is_late(self.bucket_of(timestamp)) {
             self.stats.late_dropped += 1;
             return Ok(false);
         }
         check_one_frame(frame)?;
-        if self.opens_window(bucket) {
-            self.total.check_first_frame(frame)?;
-        }
-        self.advance_to_bucket(bucket)?;
-        let idx = self.live_index(bucket);
-        self.live[idx]
-            .1
-            .ingest_concat_mirrored(&mut self.total, frame)?;
-        self.stats.frames_ingested += 1;
+        self.ingest_concat(timestamp, frame)?;
         Ok(true)
     }
 

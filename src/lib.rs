@@ -13,7 +13,7 @@
 //!   the runtime mechanism registry ([`core::protocol`]) and the binary
 //!   wire format with its type-erased collection API ([`core::wire`]).
 //! * [`sketch`] — the data-structure substrate: hashing, Bloom filters,
-//!   count sketches, the fast Walsh–Hadamard transform, and the regression
+//!   bit vectors, the fast Walsh–Hadamard transform, and the regression
 //!   toolkit used for decoding.
 //! * [`rappor`] — Google's RAPPOR (CCS 2014) and the unknown-dictionary
 //!   extension.
