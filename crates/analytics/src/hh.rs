@@ -17,10 +17,10 @@
 //! matrix — so each level costs `O(C·|candidates|)` hash evaluations to
 //! estimate instead of rescanning the group's raw reports. Each group's
 //! accumulation runs through the sharded parallel engine in
-//! `ldp_workloads::parallel`, and with it through the oracle's **fused
-//! batch path** (`randomize_accumulate_batch`): per-shard reports fold
-//! straight into the `C×g` matrix with monomorphized RNG draws, no report
-//! structs or per-report allocation on any level.
+//! `ldp_workloads::parallel`, and with it through the oracle's **batch
+//! path** (`randomize_accumulate_batch`): per-shard reports fold
+//! straight into the `C×g` matrix with monomorphized RNG draws and no
+//! per-report allocation on any level.
 
 use ldp_core::fo::{CohortLocalHashing, FoAggregator};
 use ldp_core::{Epsilon, Error, Result};
@@ -146,8 +146,8 @@ impl PrefixExtendingMethod {
     /// One level's randomize→accumulate→estimate pass, shared by level 0
     /// and every extension level: maps each group value to its
     /// `prefix_len`-bit prefix, collects through cohort-mode OLH on the
-    /// sharded parallel engine (whose shards run the fused
-    /// `randomize_accumulate_batch` path), and returns estimates for
+    /// sharded parallel engine (whose shards run
+    /// `randomize_accumulate_batch`), and returns estimates for
     /// `candidates`.
     ///
     /// `seed_base` rotates the level's public cohort seed set (so hash

@@ -135,7 +135,6 @@ pub fn exact_marginal(data: &[u64], query: MarginalQuery) -> MarginalTable {
 /// The Fourier-basis marginal-release protocol.
 #[derive(Debug, Clone)]
 pub struct FourierMarginals {
-    d: u32,
     epsilon: Epsilon,
     /// The coefficient pool: union of downward closures of all queries.
     coefficients: Vec<u64>,
@@ -171,7 +170,6 @@ impl FourierMarginals {
             return Err(Error::InvalidParameter("no queries supplied".into()));
         }
         Ok(Self {
-            d,
             epsilon,
             coefficients: pool,
         })
@@ -180,11 +178,6 @@ impl FourierMarginals {
     /// Number of Fourier coefficients the protocol estimates.
     pub fn coefficient_count(&self) -> usize {
         self.coefficients.len()
-    }
-
-    /// Attribute count `d`.
-    pub fn dimensions(&self) -> u32 {
-        self.d
     }
 
     /// Runs collection: each user samples one coefficient `T` from the

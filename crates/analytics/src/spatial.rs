@@ -139,11 +139,6 @@ impl UniformGrid {
             n: points.len(),
         }
     }
-
-    /// Analytical per-cell count variance (noise floor) for `n` users.
-    pub fn cell_variance(&self, n: usize) -> f64 {
-        self.oracle.noise_floor_variance(n)
-    }
 }
 
 /// The decoded density grid.

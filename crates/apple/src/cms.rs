@@ -486,10 +486,6 @@ impl CounterState for CmsAggregator {
 impl FoAggregator for CmsAggregator {
     type Report = CmsReport;
 
-    fn accumulate(&mut self, report: &CmsReport) {
-        self.server.accumulate(report);
-    }
-
     fn try_accumulate(&mut self, report: &CmsReport) -> ldp_core::Result<()> {
         let (k, m) = self.server.protocol.shape();
         if report.row as usize >= k || report.bits.len() != m {

@@ -155,11 +155,17 @@ impl HcmsServer {
     /// Folds one report into the spectrum.
     ///
     /// # Panics
-    /// Panics if the report indices exceed the protocol shape.
+    /// Panics if the report indices exceed the protocol shape or the sign
+    /// is not ±1.
     pub fn accumulate(&mut self, report: &HcmsReport) {
         let (k, m) = self.protocol.shape();
         let (row, coeff) = (report.row as usize, report.coeff as usize);
         assert!(row < k && coeff < m, "report indices out of range");
+        assert!(
+            report.sign == 1 || report.sign == -1,
+            "HCMS sign must be ±1, got {}",
+            report.sign
+        );
         self.spectrum[row * m + coeff] += report.sign as i64;
         self.n += 1;
     }
@@ -373,10 +379,6 @@ impl CounterState for HcmsAggregator {
 impl FoAggregator for HcmsAggregator {
     type Report = HcmsReport;
 
-    fn accumulate(&mut self, report: &HcmsReport) {
-        self.server.accumulate(report);
-    }
-
     fn try_accumulate(&mut self, report: &HcmsReport) -> ldp_core::Result<()> {
         let (k, m) = self.server.protocol.shape();
         if report.row as usize >= k || report.coeff as usize >= m {
@@ -438,22 +440,6 @@ impl FrequencyOracle for HcmsOracle {
         self.protocol.randomize(value, rng)
     }
 
-    fn randomize_accumulate_batch<R: RngCore>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        agg: &mut HcmsAggregator,
-    ) {
-        assert!(
-            agg.server.protocol == self.protocol && agg.domain == self.domain,
-            "aggregator configured for a different HCMS oracle"
-        );
-        for &v in values {
-            assert!(v < self.domain, "value {v} outside domain");
-            agg.server.accumulate(&self.protocol.randomize(v, rng));
-        }
-    }
-
     fn new_aggregator(&self) -> HcmsAggregator {
         HcmsAggregator {
             server: self.protocol.new_server(),
@@ -490,6 +476,17 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_width_panics() {
         HcmsProtocol::new(4, 48, eps(1.0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sign must be ±1")]
+    fn server_refuses_a_sign_outside_plus_minus_one() {
+        let mut server = HcmsProtocol::new(2, 16, eps(1.0), 0).new_server();
+        server.accumulate(&HcmsReport {
+            row: 0,
+            coeff: 3,
+            sign: 0,
+        });
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! (bits per device); and memoization behaviour over repeated rounds —
 //! stable values leak nothing new while the round-mean stays accurate.
 
+use ldp_core::fo::FoAggregator;
 use ldp_core::Epsilon;
 use ldp_microsoft::{DBitFlip, MemoizedMeanClient, OneBitMean, RoundingConfig};
 use ldp_workloads::gen::{gaussian_population, NumericStream};

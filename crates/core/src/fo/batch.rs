@@ -216,14 +216,6 @@ where
     GeometricSkip::new(q).sample_into(slots, rng, on_one);
 }
 
-/// Expected number of RNG words [`GeometricSkip::sample_into`] consumes
-/// for `slots` positions at flip probability `q`: `1 + slots·q` (each set
-/// position costs one word, plus the terminating word). Exposed so
-/// benches and docs can state the scalar-vs-batch draw budget precisely.
-pub fn expected_draws(slots: u64, q: f64) -> f64 {
-    1.0 + slots as f64 * q.clamp(0.0, 1.0)
-}
-
 /// An [`RngCore`] wrapper that counts the words drawn through it — one
 /// per `next_u64` or `next_u32`, `⌈len/8⌉` per `fill_bytes` — so tests
 /// and benches can state a sampler's draw budget exactly.

@@ -62,24 +62,6 @@ impl FrequencyOracle for DirectEncoding {
         self.inner.randomize(value, rng)
     }
 
-    /// Fused batch path: perturbed values land straight in the histogram.
-    fn randomize_accumulate_batch<R: RngCore>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        agg: &mut DirectAggregator,
-    ) {
-        assert_eq!(
-            agg.histogram.len(),
-            self.inner.k() as usize,
-            "aggregator width mismatch"
-        );
-        for &v in values {
-            agg.histogram[self.inner.randomize(v, rng) as usize] += 1;
-            agg.n += 1;
-        }
-    }
-
     fn new_aggregator(&self) -> DirectAggregator {
         DirectAggregator {
             histogram: vec![0; self.inner.k() as usize],
@@ -122,11 +104,6 @@ impl CounterState for DirectAggregator {
 impl FoAggregator for DirectAggregator {
     type Report = u64;
 
-    fn accumulate(&mut self, report: &u64) {
-        self.histogram[*report as usize] += 1;
-        self.n += 1;
-    }
-
     fn try_accumulate(&mut self, report: &u64) -> crate::Result<()> {
         if *report as usize >= self.histogram.len() {
             return Err(crate::LdpError::Malformed(format!(
@@ -134,7 +111,8 @@ impl FoAggregator for DirectAggregator {
                 self.histogram.len()
             )));
         }
-        self.accumulate(report);
+        self.histogram[*report as usize] += 1;
+        self.n += 1;
         Ok(())
     }
 

@@ -97,27 +97,6 @@ impl FrequencyOracle for HadamardResponse {
         HrReport { index, sign }
     }
 
-    /// Fused batch path: sign and row count fold directly into the
-    /// spectrum accumulators.
-    fn randomize_accumulate_batch<R: RngCore>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        agg: &mut HrAggregator,
-    ) {
-        assert_eq!(
-            agg.sign_sums.len(),
-            self.m as usize,
-            "aggregator spectrum mismatch"
-        );
-        for &v in values {
-            let r = self.randomize(v, rng);
-            agg.sign_sums[r.index as usize] += r.sign as i64;
-            agg.row_counts[r.index as usize] += 1;
-            agg.n += 1;
-        }
-    }
-
     fn new_aggregator(&self) -> HrAggregator {
         HrAggregator {
             sign_sums: vec![0i64; self.m as usize],
@@ -205,12 +184,6 @@ impl CounterState for HrAggregator {
 impl FoAggregator for HrAggregator {
     type Report = HrReport;
 
-    fn accumulate(&mut self, report: &HrReport) {
-        self.sign_sums[report.index as usize] += report.sign as i64;
-        self.row_counts[report.index as usize] += 1;
-        self.n += 1;
-    }
-
     fn try_accumulate(&mut self, report: &HrReport) -> crate::Result<()> {
         if report.index as usize >= self.sign_sums.len() {
             return Err(crate::LdpError::Malformed(format!(
@@ -225,7 +198,9 @@ impl FoAggregator for HrAggregator {
                 report.sign
             )));
         }
-        self.accumulate(report);
+        self.sign_sums[report.index as usize] += report.sign as i64;
+        self.row_counts[report.index as usize] += 1;
+        self.n += 1;
         Ok(())
     }
 

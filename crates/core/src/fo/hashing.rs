@@ -128,23 +128,6 @@ impl FrequencyOracle for LocalHashing {
         }
     }
 
-    /// Fused batch path: reports are pushed straight into the raw-report
-    /// store with monomorphized draws (there is no smaller sufficient
-    /// statistic for random-seed local hashing — use
-    /// [`CohortLocalHashing`] for one).
-    fn randomize_accumulate_batch<R: RngCore>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        agg: &mut LhAggregator,
-    ) {
-        assert_eq!(agg.d, self.d, "aggregator domain mismatch");
-        agg.reports.reserve(values.len());
-        for &v in values {
-            agg.reports.push(self.randomize(v, rng));
-        }
-    }
-
     fn new_aggregator(&self) -> LhAggregator {
         let (p, q) = self.support_probabilities();
         LhAggregator {
@@ -222,15 +205,6 @@ macro_rules! delegate_oracle {
 
             fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> LhReport {
                 self.0.randomize(value, rng)
-            }
-
-            fn randomize_accumulate_batch<R: RngCore>(
-                &self,
-                values: &[u64],
-                rng: &mut R,
-                agg: &mut LhAggregator,
-            ) {
-                self.0.randomize_accumulate_batch(values, rng, agg)
             }
 
             fn new_aggregator(&self) -> LhAggregator {
@@ -335,10 +309,6 @@ impl crate::snapshot::StateSnapshot for LhAggregator {
 impl FoAggregator for LhAggregator {
     type Report = LhReport;
 
-    fn accumulate(&mut self, report: &LhReport) {
-        self.reports.push(*report);
-    }
-
     fn try_accumulate(&mut self, report: &LhReport) -> crate::Result<()> {
         if report.bucket >= self.family.range() {
             return Err(crate::LdpError::Malformed(format!(
@@ -347,7 +317,7 @@ impl FoAggregator for LhAggregator {
                 self.family.range()
             )));
         }
-        self.accumulate(report);
+        self.reports.push(*report);
         Ok(())
     }
 
@@ -556,30 +526,6 @@ impl FrequencyOracle for CohortLocalHashing {
         }
     }
 
-    /// Fused batch path: each report increments its `C×g` matrix cell
-    /// directly — no report struct crosses an API boundary, and every
-    /// uniform draw is monomorphized.
-    fn randomize_accumulate_batch<R: RngCore>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        agg: &mut CohortLhAggregator,
-    ) {
-        assert!(
-            agg.d == self.d
-                && agg.g == self.g
-                && agg.cohorts == self.cohorts
-                && agg.seed_base == self.seed_base,
-            "aggregator configuration mismatch"
-        );
-        let g = self.g as usize;
-        for &v in values {
-            let r = self.randomize(v, rng);
-            agg.counts[r.cohort as usize * g + r.bucket as usize] += 1;
-            agg.n += 1;
-        }
-    }
-
     fn new_aggregator(&self) -> CohortLhAggregator {
         let (p, q) = self.support_probabilities();
         CohortLhAggregator {
@@ -724,18 +670,6 @@ impl FoAggregator for CohortLhAggregator {
         }
         self.count(report);
         Ok(())
-    }
-
-    fn accumulate(&mut self, report: &CohortLhReport) {
-        assert!(
-            self.fits(report),
-            "report ({}, {}) outside the {}x{} cohort matrix",
-            report.cohort,
-            report.bucket,
-            self.cohorts,
-            self.g
-        );
-        self.count(report);
     }
 
     fn reports(&self) -> usize {

@@ -24,13 +24,17 @@
 //! compares 64 positions per RNG word (~8.46 uniform draws per 64 bits —
 //! an 8-draw prefix plus a short tail — instead of 64 Laplace draws) —
 //! and never materializes the continuous
-//! noise it marginalizes out.
+//! noise it marginalizes out. THE is thus a member of the unary family
+//! outright: its oracle impls come from the same macro as SUE/OUE's, and
+//! its [`TheAggregator`] is the unary [`OnesAggregator`] under THE's own
+//! snapshot tag.
 
-use super::counters::{self, CounterState};
-use super::{batch, FoAggregator, FrequencyOracle, PackedOnes, SetBitSampler};
+use super::unary::OnesAggregator;
+use super::{batch, FoAggregator, FrequencyOracle, SetBitSampler};
 use crate::estimate::debiased_count_variance;
 use crate::noise::fill_laplace;
 use crate::privacy::Epsilon;
+use crate::snapshot::state_tag;
 use crate::{Error, Result};
 use ldp_sketch::BitVec;
 use rand::RngCore;
@@ -180,14 +184,6 @@ impl crate::snapshot::StateSnapshot for SheAggregator {
 impl FoAggregator for SheAggregator {
     type Report = Vec<f64>;
 
-    fn accumulate(&mut self, report: &Vec<f64>) {
-        assert_eq!(report.len(), self.sums.len(), "report width mismatch");
-        for (s, r) in self.sums.iter_mut().zip(report) {
-            *s += r;
-        }
-        self.n += 1;
-    }
-
     fn try_accumulate(&mut self, report: &Vec<f64>) -> crate::Result<()> {
         if report.len() != self.sums.len() {
             return Err(crate::LdpError::Malformed(format!(
@@ -203,7 +199,10 @@ impl FoAggregator for SheAggregator {
                 "SHE report carries non-finite coordinate {x}"
             )));
         }
-        self.accumulate(report);
+        for (s, r) in self.sums.iter_mut().zip(report) {
+            *s += r;
+        }
+        self.n += 1;
         Ok(())
     }
 
@@ -350,160 +349,12 @@ impl ThresholdHistogramEncoding {
     }
 }
 
-impl SetBitSampler for ThresholdHistogramEncoding {
-    fn sample_words<R: RngCore + ?Sized>(
-        &self,
-        value: u64,
-        rng: &mut R,
-        on_word: impl FnMut(usize, u64),
-    ) {
-        self.chan.sample_words(value, rng, on_word);
-    }
-}
+super::unary::impl_unary_oracle!(ThresholdHistogramEncoding, "THE", TheAggregator);
 
-impl FrequencyOracle for ThresholdHistogramEncoding {
-    type Report = BitVec;
-    type Aggregator = TheAggregator;
-
-    fn name(&self) -> &'static str {
-        "THE"
-    }
-
-    fn domain_size(&self) -> u64 {
-        self.chan.domain_size()
-    }
-
-    fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    fn randomize<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R) -> BitVec {
-        self.chan.randomize(value, rng)
-    }
-
-    /// Reusable-buffer batch path: one `BitVec` overwritten word by word
-    /// per report; same RNG stream — and hence same bits — as `randomize`.
-    fn randomize_batch<R, F>(&self, values: &[u64], rng: &mut R, sink: F)
-    where
-        R: RngCore,
-        F: FnMut(&BitVec),
-    {
-        self.chan.randomize_batch(values, rng, sink);
-    }
-
-    /// Fused batch path: sampled set bits go straight into the
-    /// aggregator's per-position counters, no `BitVec` materialized.
-    fn randomize_accumulate_batch<R: RngCore>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        agg: &mut TheAggregator,
-    ) {
-        assert!(
-            (agg.p, agg.q) == self.probabilities(),
-            "aggregator channel mismatch"
-        );
-        self.chan.accumulate(values, rng, &mut agg.ones);
-        agg.n += values.len();
-    }
-
-    fn new_aggregator(&self) -> TheAggregator {
-        let (p, q) = self.probabilities();
-        TheAggregator {
-            ones: vec![0; self.domain_size() as usize],
-            n: 0,
-            p,
-            q,
-        }
-    }
-
-    fn count_variance(&self, n: usize, f: f64) -> f64 {
-        let (p, q) = self.probabilities();
-        debiased_count_variance(n, f * n as f64, p, q)
-    }
-
-    fn report_bits(&self) -> usize {
-        self.domain_size() as usize
-    }
-}
-
-/// Aggregator for [`ThresholdHistogramEncoding`]: per-position counts with
-/// `(p, q)` debiasing.
-#[derive(Debug, Clone)]
-pub struct TheAggregator {
-    ones: Vec<u64>,
-    n: usize,
-    p: f64,
-    q: f64,
-}
-
-impl CounterState for TheAggregator {
-    const STATE_TAG: u8 = crate::snapshot::state_tag::THE;
-    const NAME: &'static str = "THE";
-
-    fn config_bytes(&self, out: &mut Vec<u8>) {
-        crate::wire::put_f64_le(out, self.p);
-        crate::wire::put_f64_le(out, self.q);
-    }
-
-    crate::counter_fields!(Count n, Plane ones);
-}
-
-impl PackedOnes for TheAggregator {
-    fn accumulate_packed_batch(
-        &mut self,
-        payloads: &[(&[u8], usize)],
-    ) -> (usize, crate::Result<()>) {
-        let (applied, res) = super::accumulate_packed_ones_batch(&mut self.ones, payloads);
-        self.n += applied;
-        (applied, res)
-    }
-}
-
-impl FoAggregator for TheAggregator {
-    type Report = BitVec;
-
-    fn accumulate(&mut self, report: &BitVec) {
-        assert_eq!(report.len(), self.ones.len(), "report width mismatch");
-        report.accumulate_into(&mut self.ones);
-        self.n += 1;
-    }
-
-    fn try_accumulate(&mut self, report: &BitVec) -> crate::Result<()> {
-        if report.len() != self.ones.len() {
-            return Err(crate::LdpError::Malformed(format!(
-                "THE report width {} != domain size {}",
-                report.len(),
-                self.ones.len()
-            )));
-        }
-        self.accumulate(report);
-        Ok(())
-    }
-
-    fn reports(&self) -> usize {
-        self.n
-    }
-
-    fn estimate(&self) -> Vec<f64> {
-        let counts = self.ones.iter().copied();
-        super::debiased_counts(self.n, self.p, self.q, counts)
-    }
-
-    /// Debiases only the queried counters.
-    fn estimate_items(&self, items: &[u64]) -> Vec<f64> {
-        let counts = items.iter().map(|&v| self.ones[v as usize]);
-        super::debiased_counts(self.n, self.p, self.q, counts)
-    }
-
-    fn merge(&mut self, other: Self) -> crate::Result<()> {
-        counters::merge(self, &other)
-    }
-
-    fn try_subtract(&mut self, other: &Self) -> crate::Result<()> {
-        counters::subtract(self, other)
-    }
-}
+/// Aggregator for [`ThresholdHistogramEncoding`]: the unary family's
+/// per-position counts with `(p, q)` debiasing, under THE's own snapshot
+/// tag.
+pub type TheAggregator = OnesAggregator<{ state_tag::THE }>;
 
 #[cfg(test)]
 mod tests {

@@ -83,7 +83,8 @@
 //! For every count-based aggregator (all but SHE's float sums and raw
 //! local hashing's report list) merge, exact subtract, snapshot and
 //! restore live once, in the [`counters`] kernel; the aggregator keeps
-//! only its config, its accumulate paths and `estimate`.
+//! only its config, its one report fold
+//! ([`FoAggregator::try_accumulate`]) and `estimate`.
 
 pub mod batch;
 pub mod counters;
@@ -161,20 +162,23 @@ pub trait FrequencyOracle {
     }
 
     /// Fused batch client+server step: privatizes every value in `values`
-    /// and folds the reports straight into `agg`, without materializing
-    /// per-report allocations where the oracle can avoid them.
+    /// and folds the reports into `agg`.
     ///
     /// This is the hot path of sharded collection
-    /// (`ldp_workloads::parallel`): unary-family overrides skip the
-    /// per-report `BitVec` entirely and add the sampled set bits directly
-    /// into the aggregator's `u64` column counters. The
-    /// resulting aggregator state is bit-identical to running the scalar
-    /// `randomize` + [`FoAggregator::accumulate`] loop with the same RNG
-    /// seed — same draws, same integer counters.
+    /// (`ldp_workloads::parallel`). The default is
+    /// [`randomize_batch`](Self::randomize_batch) feeding
+    /// [`FoAggregator::accumulate`]; an oracle overrides it only where it
+    /// can skip building a report at all (the unary family adds sampled
+    /// set bits straight into the aggregator's `u64` column counters, SS
+    /// its sampled items, SHE one reused noise block, CMS and dBitFlip
+    /// their flipped cells). Either way the resulting aggregator state is
+    /// bit-identical to the scalar `randomize` + [`FoAggregator::accumulate`]
+    /// loop with the same RNG seed — same draws, same counters.
     ///
     /// # Panics
-    /// Panics if any value is `>= domain_size()` or `agg` was configured
-    /// for a different oracle instance.
+    /// Panics if any value is `>= domain_size()`. The overrides also
+    /// panic if `agg` was configured for a different oracle instance; the
+    /// default panics only when a report does not fit `agg`.
     fn randomize_accumulate_batch<R: RngCore>(
         &self,
         values: &[u64],
@@ -278,28 +282,34 @@ pub trait FoAggregator: crate::snapshot::StateSnapshot {
     /// Report type consumed.
     type Report;
 
-    /// Folds one client report into the aggregate state.
-    fn accumulate(&mut self, report: &Self::Report);
-
     /// Validates one client report against this aggregator's
     /// configuration and folds it in, returning an error instead of
     /// panicking when the report does not fit (wrong width, out-of-range
-    /// bucket or cohort, …). This is the path the erased wire layer
-    /// ([`crate::wire`]) routes every decoded frame through, so a
-    /// collector fed adversarial bytes degrades to [`crate::LdpError`]s
-    /// rather than crashing.
-    ///
-    /// The default performs no validation (appropriate only for report
-    /// types every decoded value of which is accepted, like `bool`);
-    /// every workspace aggregator with a panicking `accumulate` overrides
-    /// it.
+    /// bucket or cohort, …). This is the aggregator's one report fold:
+    /// [`accumulate`](Self::accumulate) and the default
+    /// [`FrequencyOracle::randomize_accumulate_batch`] call it, and the
+    /// erased wire layer ([`crate::wire`]) routes every decoded frame
+    /// through it, so a collector fed adversarial bytes degrades to
+    /// [`crate::LdpError`]s rather than crashing. A refused report
+    /// leaves the state unchanged.
     ///
     /// # Errors
     /// [`crate::LdpError::Malformed`] when the report does not fit this
     /// aggregator's configuration.
-    fn try_accumulate(&mut self, report: &Self::Report) -> crate::Result<()> {
-        self.accumulate(report);
-        Ok(())
+    fn try_accumulate(&mut self, report: &Self::Report) -> crate::Result<()>;
+
+    /// Folds one client report into the aggregate state: the panicking
+    /// face of [`try_accumulate`](Self::try_accumulate), for callers whose
+    /// reports come from their own randomizer. Both paths accept and
+    /// refuse exactly the same reports.
+    ///
+    /// # Panics
+    /// Panics with `try_accumulate`'s error when the report does not fit
+    /// this aggregator's configuration; the state is left unchanged.
+    fn accumulate(&mut self, report: &Self::Report) {
+        if let Err(e) = self.try_accumulate(report) {
+            panic!("{e}");
+        }
     }
 
     /// Number of reports accumulated so far.

@@ -202,13 +202,6 @@ impl CounterState for SsAggregator {
 impl FoAggregator for SsAggregator {
     type Report = Vec<u64>;
 
-    fn accumulate(&mut self, report: &Vec<u64>) {
-        for &item in report {
-            self.inclusions[item as usize] += 1;
-        }
-        self.n += 1;
-    }
-
     fn try_accumulate(&mut self, report: &Vec<u64>) -> crate::Result<()> {
         let d = self.inclusions.len() as u64;
         // The protocol's sensitivity bound: exactly k inclusions per
@@ -234,7 +227,10 @@ impl FoAggregator for SsAggregator {
                 "subset items must be strictly ascending".into(),
             ));
         }
-        self.accumulate(report);
+        for &item in report {
+            self.inclusions[item as usize] += 1;
+        }
+        self.n += 1;
         Ok(())
     }
 

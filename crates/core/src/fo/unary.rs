@@ -26,6 +26,7 @@ use super::counters::{self, CounterState};
 use super::{batch, FoAggregator, FrequencyOracle, PackedOnes, SetBitSampler};
 use crate::estimate::debiased_count_variance;
 use crate::privacy::Epsilon;
+use crate::snapshot::state_tag;
 use crate::{Error, Result};
 use ldp_sketch::BitVec;
 use rand::RngCore;
@@ -110,11 +111,16 @@ impl OptimizedUnaryEncoding {
     }
 }
 
+/// Implements `FrequencyOracle` and `SetBitSampler` for a one-hot
+/// channel oracle (fields `epsilon` and `chan`, an inherent
+/// `probabilities()`) whose aggregator is the `OnesAggregator` alias
+/// `$agg`: SUE and OUE here, THE in `histogram.rs`. Names resolve where
+/// the macro is invoked, so the invoking module imports them.
 macro_rules! impl_unary_oracle {
-    ($ty:ty, $name:literal) => {
+    ($ty:ty, $name:literal, $agg:ident) => {
         impl FrequencyOracle for $ty {
             type Report = BitVec;
-            type Aggregator = UnaryAggregator;
+            type Aggregator = $agg;
 
             fn name(&self) -> &'static str {
                 $name
@@ -151,7 +157,7 @@ macro_rules! impl_unary_oracle {
                 &self,
                 values: &[u64],
                 rng: &mut R,
-                agg: &mut UnaryAggregator,
+                agg: &mut $agg,
             ) {
                 assert!(
                     (agg.p, agg.q) == self.probabilities(),
@@ -161,9 +167,9 @@ macro_rules! impl_unary_oracle {
                 agg.n += values.len();
             }
 
-            fn new_aggregator(&self) -> UnaryAggregator {
+            fn new_aggregator(&self) -> $agg {
                 let (p, q) = self.probabilities();
-                UnaryAggregator {
+                $agg {
                     ones: vec![0; self.domain_size() as usize],
                     n: 0,
                     p,
@@ -193,22 +199,35 @@ macro_rules! impl_unary_oracle {
         }
     };
 }
+pub(super) use impl_unary_oracle;
 
-impl_unary_oracle!(SymmetricUnaryEncoding, "SUE");
-impl_unary_oracle!(OptimizedUnaryEncoding, "OUE");
+impl_unary_oracle!(SymmetricUnaryEncoding, "SUE", UnaryAggregator);
+impl_unary_oracle!(OptimizedUnaryEncoding, "OUE", UnaryAggregator);
 
-/// Aggregator for unary encodings: per-position 1-counts plus debiasing.
+/// Aggregator for the one-hot channel family: per-position 1-counts
+/// plus `(p, q)` debiasing. `TAG` is the snapshot state tag, the only
+/// thing that tells [`UnaryAggregator`] (SUE/OUE) from
+/// [`TheAggregator`](super::histogram::TheAggregator) (THE).
 #[derive(Debug, Clone)]
-pub struct UnaryAggregator {
-    ones: Vec<u64>,
-    n: usize,
-    p: f64,
-    q: f64,
+pub struct OnesAggregator<const TAG: u8> {
+    // `pub(super)`: `impl_unary_oracle!` builds and fills these in THE's
+    // module too.
+    pub(super) ones: Vec<u64>,
+    pub(super) n: usize,
+    pub(super) p: f64,
+    pub(super) q: f64,
 }
 
-impl CounterState for UnaryAggregator {
-    const STATE_TAG: u8 = crate::snapshot::state_tag::UNARY;
-    const NAME: &'static str = "unary";
+/// Aggregator for unary encodings (SUE, OUE).
+pub type UnaryAggregator = OnesAggregator<{ state_tag::UNARY }>;
+
+impl<const TAG: u8> CounterState for OnesAggregator<TAG> {
+    const STATE_TAG: u8 = TAG;
+    const NAME: &'static str = if TAG == state_tag::THE {
+        "THE"
+    } else {
+        "unary"
+    };
 
     fn config_bytes(&self, out: &mut Vec<u8>) {
         crate::wire::put_f64_le(out, self.p);
@@ -218,7 +237,7 @@ impl CounterState for UnaryAggregator {
     crate::counter_fields!(Count n, Plane ones);
 }
 
-impl PackedOnes for UnaryAggregator {
+impl<const TAG: u8> PackedOnes for OnesAggregator<TAG> {
     fn accumulate_packed_batch(
         &mut self,
         payloads: &[(&[u8], usize)],
@@ -229,24 +248,20 @@ impl PackedOnes for UnaryAggregator {
     }
 }
 
-impl FoAggregator for UnaryAggregator {
+impl<const TAG: u8> FoAggregator for OnesAggregator<TAG> {
     type Report = BitVec;
-
-    fn accumulate(&mut self, report: &BitVec) {
-        assert_eq!(report.len(), self.ones.len(), "report width mismatch");
-        report.accumulate_into(&mut self.ones);
-        self.n += 1;
-    }
 
     fn try_accumulate(&mut self, report: &BitVec) -> crate::Result<()> {
         if report.len() != self.ones.len() {
             return Err(crate::LdpError::Malformed(format!(
-                "unary report width {} != domain size {}",
+                "{} report width {} != domain size {}",
+                Self::NAME,
                 report.len(),
                 self.ones.len()
             )));
         }
-        self.accumulate(report);
+        report.accumulate_into(&mut self.ones);
+        self.n += 1;
         Ok(())
     }
 

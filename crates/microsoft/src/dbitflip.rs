@@ -306,26 +306,14 @@ pub struct DBitAggregator {
 }
 
 impl DBitAggregator {
-    /// Folds one report in.
-    ///
-    /// # Panics
-    /// Panics if the report's arrays disagree or reference unknown buckets.
-    pub fn accumulate(&mut self, report: &DBitReport) {
-        assert_eq!(report.buckets.len(), report.bits.len(), "malformed report");
-        self.accumulate_bits(
-            report
-                .buckets
-                .iter()
-                .zip(&report.bits)
-                .map(|(&j, &b)| (j, b)),
-        );
-    }
-
     /// Folds one report given as `(bucket, bit)` pairs, without requiring
     /// a materialized [`DBitReport`] — the allocation-free entry point
     /// used by the memoized repeated-collection clients and the fused
-    /// pipeline path. Bit-identical to [`accumulate`](Self::accumulate)
-    /// on the equivalent report.
+    /// pipeline path, and the fold behind
+    /// [`FoAggregator::try_accumulate`], which validates a report's shape
+    /// before handing its pairs here. This entry point checks only the
+    /// bucket range, not the protocol's shape (`d` distinct buckets per
+    /// device).
     ///
     /// # Panics
     /// Panics if a bucket index is out of range.
@@ -386,10 +374,6 @@ impl CounterState for DBitAggregator {
 impl FoAggregator for DBitAggregator {
     type Report = DBitReport;
 
-    fn accumulate(&mut self, report: &DBitReport) {
-        DBitAggregator::accumulate(self, report);
-    }
-
     fn try_accumulate(&mut self, report: &DBitReport) -> ldp_core::Result<()> {
         let k = self.ones.len();
         if report.buckets.len() != report.bits.len() {
@@ -413,7 +397,16 @@ impl FoAggregator for DBitAggregator {
                 "dBitFlip bucket {j} outside range {k}"
             )));
         }
-        DBitAggregator::accumulate(self, report);
+        // Legitimate reports list distinct buckets in ascending order (the
+        // wire codec refuses anything else); a repeated bucket would
+        // count one device twice in it.
+        if report.buckets.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(Error::Malformed(
+                "dBitFlip buckets must be strictly ascending".into(),
+            ));
+        }
+        let pairs = report.buckets.iter().zip(&report.bits);
+        self.accumulate_bits(pairs.map(|(&j, &b)| (j, b)));
         Ok(())
     }
 
@@ -480,6 +473,11 @@ mod tests {
             bits: vec![true; 3],
         };
         assert!(agg.try_accumulate(&mismatched).is_err());
+        let repeated = DBitReport {
+            buckets: vec![1, 5, 5, 30],
+            bits: vec![true; 4],
+        };
+        assert!(agg.try_accumulate(&repeated).is_err());
         assert_eq!(agg.reports(), 1, "rejected reports leave state intact");
     }
 

@@ -169,9 +169,10 @@ impl CounterState for OneBitMeanAggregator {
 impl FoAggregator for OneBitMeanAggregator {
     type Report = bool;
 
-    fn accumulate(&mut self, report: &bool) {
+    fn try_accumulate(&mut self, report: &bool) -> Result<()> {
         self.ones += usize::from(*report);
         self.n += 1;
+        Ok(())
     }
 
     fn reports(&self) -> usize {

@@ -203,9 +203,11 @@ impl ldp_core::snapshot::StateSnapshot for TelemetryAggregator {
 impl FoAggregator for TelemetryAggregator {
     type Report = TelemetryReport;
 
-    fn accumulate(&mut self, report: &TelemetryReport) {
-        self.mean.accumulate(&report.mean_bit);
-        self.hist.accumulate(&report.hist);
+    /// Folds the histogram half first: it is the half that can refuse,
+    /// so a refused report leaves both halves unchanged.
+    fn try_accumulate(&mut self, report: &TelemetryReport) -> Result<()> {
+        self.hist.try_accumulate(&report.hist)?;
+        self.mean.try_accumulate(&report.mean_bit)
     }
 
     fn reports(&self) -> usize {

@@ -96,6 +96,7 @@ impl MemoizedHistogramClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::fo::FoAggregator;
     use ldp_core::Epsilon;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

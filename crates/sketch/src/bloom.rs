@@ -98,11 +98,6 @@ impl BloomFilter {
         &self.bits
     }
 
-    /// Consumes the filter, returning its bits.
-    pub fn into_bits(self) -> BitVec {
-        self.bits
-    }
-
     /// Filter width in bits.
     pub fn len(&self) -> usize {
         self.bits.len()

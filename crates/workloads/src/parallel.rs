@@ -416,9 +416,10 @@ mod tests {
     impl ldp_core::fo::FoAggregator for CoinAgg {
         type Report = bool;
 
-        fn accumulate(&mut self, report: &bool) {
+        fn try_accumulate(&mut self, report: &bool) -> ldp_core::Result<()> {
             self.ones += u64::from(*report);
             self.n += 1;
+            Ok(())
         }
 
         fn reports(&self) -> usize {

@@ -7,6 +7,7 @@
 //! 1BitMean accuracy, the dBitFlip usage histogram, and memoization
 //! keeping a stable device's transcript constant across rounds.
 
+use ldp::core::fo::FoAggregator;
 use ldp::core::Epsilon;
 use ldp::microsoft::{DBitFlip, MemoizedMeanClient, OneBitMean, RoundingConfig};
 use ldp::workloads::gen::NumericStream;

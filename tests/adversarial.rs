@@ -11,17 +11,109 @@ use ldp::workloads::gen::{exact_counts, ZipfGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-#[test]
-fn malformed_unary_report_panics() {
-    let oracle = OptimizedUnaryEncoding::new(16, Epsilon::new(1.0).expect("eps")).expect("domain");
+/// Folds 200 honest reports into a fresh aggregator, then feeds it
+/// `bad`: both `try_accumulate` (which must err) and `accumulate` (which
+/// must panic) have to refuse it and leave `reports()` and `estimate()`
+/// exactly as they were.
+fn refused_on_both_paths<O: FrequencyOracle>(oracle: &O, bad: O::Report) {
+    let name = oracle.name();
+    let mut rng = StdRng::seed_from_u64(11);
+    let values: Vec<u64> = (0..200).map(|i| i % oracle.domain_size()).collect();
     let mut agg = oracle.new_aggregator();
-    let bad = ldp::sketch::BitVec::zeros(8); // wrong width
+    oracle.randomize_accumulate_batch(&values, &mut rng, &mut agg);
+    let state = |agg: &O::Aggregator| {
+        let est: Vec<u64> = agg.estimate().iter().map(|x| x.to_bits()).collect();
+        (agg.reports(), est)
+    };
+    let before = state(&agg);
+
+    assert!(
+        agg.try_accumulate(&bad).is_err(),
+        "{name}: try_accumulate accepted {bad:?}"
+    );
+    assert_eq!(state(&agg), before, "{name}: try_accumulate moved state");
+
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         agg.accumulate(&bad);
     }));
     assert!(
         result.is_err(),
-        "width mismatch must panic, not corrupt state"
+        "{name}: malformed report must panic, not corrupt state"
+    );
+    assert_eq!(state(&agg), before, "{name}: accumulate moved state");
+}
+
+/// Every workspace aggregator with a refusable report refuses it on
+/// both the checked and the panicking path, or on neither.
+#[test]
+fn malformed_reports_are_refused_on_both_paths() {
+    use ldp::apple::{CmsOracle, CmsReport, HcmsOracle, HcmsReport};
+    use ldp::core::fo::hadamard::HrReport;
+    use ldp::core::fo::hashing::{CohortLhReport, LhReport};
+    use ldp::core::fo::{
+        CohortLocalHashing, DirectEncoding, HadamardResponse, SubsetSelection,
+        SummationHistogramEncoding, ThresholdHistogramEncoding,
+    };
+    use ldp::microsoft::{DBitFlip, DBitReport};
+    use ldp::sketch::BitVec;
+    let eps = Epsilon::new(1.0).expect("eps");
+
+    refused_on_both_paths(&DirectEncoding::new(8, eps).expect("domain"), 8);
+    // Wrong width.
+    refused_on_both_paths(
+        &OptimizedUnaryEncoding::new(16, eps).expect("domain"),
+        BitVec::zeros(8),
+    );
+    refused_on_both_paths(
+        &ThresholdHistogramEncoding::new(16, eps).expect("domain"),
+        BitVec::zeros(8),
+    );
+    refused_on_both_paths(
+        &SummationHistogramEncoding::new(4, eps).expect("domain"),
+        vec![0.0, f64::NAN, 0.0, 0.0],
+    );
+    // k = 16 votes piled on one item.
+    refused_on_both_paths(&SubsetSelection::with_k(64, 16, eps), vec![5; 16]);
+    refused_on_both_paths(
+        &HadamardResponse::new(16, eps),
+        HrReport { index: 0, sign: 3 },
+    );
+    refused_on_both_paths(
+        &OptimizedLocalHashing::new(64, eps),
+        LhReport {
+            seed: 1,
+            bucket: 1 << 40,
+        },
+    );
+    refused_on_both_paths(
+        &CohortLocalHashing::optimized(64, 16, eps),
+        CohortLhReport {
+            cohort: 16,
+            bucket: 0,
+        },
+    );
+    refused_on_both_paths(
+        &CmsOracle::new(4, 16, eps, 7, 64),
+        CmsReport {
+            row: 4,
+            bits: vec![1; 16],
+        },
+    );
+    refused_on_both_paths(
+        &HcmsOracle::new(4, 16, eps, 7, 64),
+        HcmsReport {
+            row: 0,
+            coeff: 3,
+            sign: 0,
+        },
+    );
+    // Eight buckets from a device that covers d = 2.
+    refused_on_both_paths(
+        &DBitFlip::new(16, 2, eps).expect("mechanism"),
+        DBitReport {
+            buckets: (0..8).collect(),
+            bits: vec![true; 8],
+        },
     );
 }
 
